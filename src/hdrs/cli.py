@@ -22,7 +22,7 @@ from . import tensor as T
 from .audio import AudioBuffer, read_wav, write_wav
 from .dsp import StftConfig, stft_magnitude
 from .metrics import evaluate, write_report
-from .model import ModelConfig, SampleRateMismatch, forward
+from .model import EmptyInput, ModelConfig, SampleRateMismatch, forward
 from .simulate import ManifestError, generate_corpus
 from .train import (ManifestEmpty, NonFiniteGradient, NonFiniteLoss, TrainConfig,
                     load_checkpoint, train)
@@ -204,6 +204,9 @@ def cmd_restore(args) -> int:
         except SampleRateMismatch as e:
             print(f"error: {f}: {e}", file=sys.stderr)
             return EXIT_SAMPLE_RATE
+        except EmptyInput as e:
+            print(f"error: {f}: {e}", file=sys.stderr)
+            return EXIT_EMPTY
         write_wav(out_dir / f.name, AudioBuffer(trace.x_hat.data, buf.sample_rate))
         if args.dump_trace:
             _dump_trace(out_dir, f.stem, buf, trace)

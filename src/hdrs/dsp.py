@@ -1,9 +1,9 @@
 """Deterministic signal-processing primitives.
 
-Radix-2 FFT, short-time magnitude spectra (differentiable through to the
-waveform), Butterworth biquad design via bilinear transform with cutoff
-prewarping, zero-state IIR filtering, factor-4 windowed-sinc resampling,
-and linear convolution.
+Power-of-two FFTs (computed by ``numpy.fft``), short-time magnitude
+spectra (differentiable through to the waveform), Butterworth biquad design
+via bilinear transform with cutoff prewarping, zero-state IIR filtering,
+factor-4 windowed-sinc resampling, and linear convolution.
 """
 
 from __future__ import annotations
@@ -41,20 +41,8 @@ class LengthNotDivisible(ValueError):
 # -- FFT -----------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.setflags(write=False)
-    return rev
-
-
 def fft(x, inverse: bool = False) -> np.ndarray:
-    """Radix-2 Cooley-Tukey DFT over the last axis.
+    """DFT over the last axis by ``numpy.fft``, in complex128.
 
     Forward transform is unscaled, inverse is scaled by 1/N. Length must be
     a power of two.
@@ -63,21 +51,7 @@ def fft(x, inverse: bool = False) -> np.ndarray:
     n = x.shape[-1]
     if n == 0 or n & (n - 1):
         raise NonPowerOfTwoLength(f"FFT length {n} is not a power of two")
-    y = np.ascontiguousarray(x[..., _bit_reverse_indices(n)])
-    sign = 1.0 if inverse else -1.0
-    m = 2
-    while m <= n:
-        half = m // 2
-        w = np.exp(sign * 2j * np.pi * np.arange(half) / m)
-        yv = y.reshape(y.shape[:-1] + (n // m, m))
-        even = yv[..., :half].copy()
-        odd = yv[..., half:] * w
-        yv[..., :half] = even + odd
-        yv[..., half:] = even - odd
-        m *= 2
-    if inverse:
-        y /= n
-    return y
+    return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
 @functools.lru_cache(maxsize=32)
@@ -149,9 +123,8 @@ def stft_magnitude(x, cfg: StftConfig) -> Tensor:
         full = np.zeros((n_frames, cfg.fft_bins), dtype=np.complex128)
         full[:, :cfg.bins] = c
         gframes = fft(full).real[:, :cfg.window_len] * win
-        gx = np.zeros(length)
-        for t in range(n_frames):
-            gx[t * cfg.hop:t * cfg.hop + cfg.window_len] += gframes[t]
+        idx = np.arange(n_frames)[:, None] * cfg.hop + np.arange(cfg.window_len)
+        gx = np.bincount(idx.ravel(), weights=gframes.ravel(), minlength=length)
         x._accum(gx.astype(x.dtype))
 
     return Tensor._make(mag, (x,), backward, "stft_magnitude")
@@ -346,7 +319,7 @@ def convolve_full(x: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise ValueError("convolve_full requires non-empty inputs")
     full_len = len(x) + len(r) - 1
     n = 1 << (full_len - 1).bit_length()
-    fx = fft(np.concatenate([x, np.zeros(n - len(x))]).astype(np.complex128))
-    fr = fft(np.concatenate([r, np.zeros(n - len(r))]).astype(np.complex128))
+    fx = fft(np.pad(x, (0, n - len(x))))
+    fr = fft(np.pad(r, (0, n - len(r))))
     out = fft(fx * fr, inverse=True).real
     return out[:len(x)]

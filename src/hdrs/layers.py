@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor
+from .tensor import Tensor, stable_sigmoid
 
 
 class InputTooShort(ValueError):
@@ -141,8 +141,7 @@ def glu(x: Tensor) -> Tensor:
     half = c // 2
     a = x.data[:half]
     gate_in = x.data[half:]
-    s = 1.0 / (1.0 + np.exp(-np.abs(gate_in)))
-    gate = np.where(gate_in >= 0, s, 1.0 - s)
+    gate = stable_sigmoid(gate_in)
     out = a * gate
 
     def backward(g):
@@ -175,18 +174,13 @@ def lstm_forward(x: Tensor, p: LstmParams) -> Tensor:
         w_hh_t = w_hh.data.T
         for t in range(t_len):
             z = pre[t] + h @ w_hh_t
-            zi, zf, zg, zo = (z[:h_dim], z[h_dim:2 * h_dim],
-                              z[2 * h_dim:3 * h_dim], z[3 * h_dim:])
-            i = 1.0 / (1.0 + np.exp(-zi))
-            f = 1.0 / (1.0 + np.exp(-zf))
-            gc = np.tanh(zg)
-            o = 1.0 / (1.0 + np.exp(-zo))
+            gt = gates[t]
+            gt[:] = stable_sigmoid(z)
+            gt[2 * h_dim:3 * h_dim] = np.tanh(z[2 * h_dim:3 * h_dim])
+            i, f, gc, o = (gt[:h_dim], gt[h_dim:2 * h_dim],
+                           gt[2 * h_dim:3 * h_dim], gt[3 * h_dim:])
             c = f * c + i * gc
             h = o * np.tanh(c)
-            gates[t, :h_dim] = i
-            gates[t, h_dim:2 * h_dim] = f
-            gates[t, 2 * h_dim:3 * h_dim] = gc
-            gates[t, 3 * h_dim:] = o
             cells[t] = c
             outs[t] = h
         caches.append((seq, gates, cells, outs))

@@ -11,7 +11,6 @@ Conventions:
   * leaves default to float64; pass float32 data for throughput builds
     (gradient tolerances are defined per precision by callers)
   * tape-tracked tensors are never mutated in place; ops return new tensors
-  * a tensor is value-semantic once detached from its graph
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -118,9 +113,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -150,12 +142,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_as_tensor(other, self.dtype), self)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # method forms of the common unaries/reductions
     def abs(self):
         return abs_(self)
@@ -163,17 +149,8 @@ class Tensor:
     def log(self):
         return log(self)
 
-    def exp(self):
-        return exp(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
     def sigmoid(self):
         return sigmoid(self)
-
-    def tanh(self):
-        return tanh(self)
 
     def relu(self):
         return relu(self)
@@ -262,10 +239,6 @@ def div(a, b) -> Tensor:
                    lambda g, x, y: -g * x / (y * y), "div")
 
 
-def neg(a: Tensor) -> Tensor:
-    return Tensor._make(-a.data, (a,), lambda g: a._accum(-g), "neg")
-
-
 def abs_(a: Tensor) -> Tensor:
     # non-smooth at 0; subgradient 0 there
     def backward(g):
@@ -280,40 +253,20 @@ def log(a: Tensor) -> Tensor:
     return Tensor._make(np.log(a.data), (a,), lambda g: a._accum(g / a.data), "log")
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    return Tensor._make(out_data, (a,), lambda g: a._accum(g * out_data), "exp")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0):
-        raise DomainError("sqrt requires non-negative input")
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accum(g / (2.0 * out_data))
-
-    return Tensor._make(out_data, (a,), backward, "sqrt")
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array; exp only sees -|x|, so it never overflows."""
+    s = np.exp(-np.abs(x))
+    s = 1.0 / (1.0 + s)  # rebinding frees exp's result before np.where
+    return np.where(x >= 0, s, 1.0 - s)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    s = 1.0 / (1.0 + np.exp(-np.abs(x)))  # stable for large |x|
-    out_data = np.where(x >= 0, s, 1.0 - s)
+    out_data = stable_sigmoid(a.data)
 
     def backward(g):
         a._accum(g * out_data * (1.0 - out_data))
 
     return Tensor._make(out_data, (a,), backward, "sigmoid")
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        a._accum(g * (1.0 - out_data * out_data))
-
-    return Tensor._make(out_data, (a,), backward, "tanh")
 
 
 def relu(a: Tensor) -> Tensor:
@@ -427,21 +380,6 @@ def std(a: Tensor, axes=None, keepdims=False) -> Tensor:
         a._accum(_expand(g, a.shape, axes, keepdims) * local)
 
     return Tensor._make(np.asarray(data), (a,), backward, "std")
-
-
-# -- linear algebra ---------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
-
-    return Tensor._make(data, (a, b), backward, "matmul")
 
 
 # -- shape plumbing ---------------------------------------------------------------

@@ -106,6 +106,29 @@ def ref_stft_mag(x: np.ndarray, nfft: int, hop: int, win: int) -> np.ndarray:
     return mags
 
 
+def ref_stft_input_grad(x: np.ndarray, g: np.ndarray, nfft: int, hop: int,
+                        win: int) -> np.ndarray:
+    """Waveform gradient of sum(g * |STFT(x)|), one frame at a time.
+
+    Each frame's gradient is the real part of a forward DFT of the weighted
+    conjugate spectrum, windowed and overlap-added onto the signal in frame
+    order.
+    """
+    w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win) / win)
+    frames = 1 + (len(x) - win) // hop
+    bins = nfft // 2 + 1
+    gx = np.zeros(len(x))
+    for t in range(frames):
+        padded = np.zeros(nfft)
+        padded[:win] = x[t * hop:t * hop + win] * w
+        spec = np.fft.fft(padded)[:bins]
+        mag = np.abs(spec)
+        full = np.zeros(nfft, dtype=np.complex128)
+        full[:bins] = np.where(mag > 0, g[t] * np.conj(spec) / np.where(mag > 0, mag, 1.0), 0.0)
+        gx[t * hop:t * hop + win] += np.fft.fft(full).real[:win] * w
+    return gx
+
+
 def ref_loss_time(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.abs(x - y)))
 

@@ -155,6 +155,13 @@ class TestRestore:
         assert main(["restore", "--ckpt", str(workspace / "run" / "final.ckpt"),
                      "--in", str(wrong), "--out", str(tmp_path / "o")]) == 5
 
+    def test_empty_wav_exits_3(self, workspace, tmp_path):
+        from hdrs.audio import AudioBuffer, write_wav
+        empty = tmp_path / "empty.wav"
+        write_wav(empty, AudioBuffer(np.zeros(0), 16000))
+        assert main(["restore", "--ckpt", str(workspace / "run" / "final.ckpt"),
+                     "--in", str(empty), "--out", str(tmp_path / "o")]) == 3
+
 
 class TestEvaluate:
     def test_report_rows_match_manifest(self, workspace, tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hdrs import dsp
 from hdrs.audio import AudioBuffer
 from hdrs.tensor import Tensor, backward
-from oracles import (finite_difference_grad, naive_convolve_full, naive_dft,
-                     rel_grad_error, ref_si_sdr)
+from oracles import (LOSS_RESOLUTIONS, finite_difference_grad, naive_convolve_full,
+                     naive_dft, ref_si_sdr, ref_stft_input_grad, rel_grad_error)
 
 SR = 16000.0
 
@@ -103,6 +103,16 @@ class TestStft:
         xt = Tensor(x0, requires_grad=True)
         backward((dsp.stft_magnitude(xt, cfg) * Tensor(w)).sum())
         assert rel_grad_error(xt.grad, finite_difference_grad(f, x0)) < 1e-4
+
+    @pytest.mark.parametrize("nfft,hop,win", LOSS_RESOLUTIONS)
+    def test_gradient_equals_per_frame_overlap_add(self, nfft, hop, win):
+        rng = np.random.default_rng(nfft)
+        x0 = rng.standard_normal(4000)
+        xt = Tensor(x0, requires_grad=True)
+        mag = dsp.stft_magnitude(xt, dsp.StftConfig(nfft, hop, win))
+        g = rng.standard_normal(mag.shape)
+        backward((mag * Tensor(g)).sum())
+        np.testing.assert_array_equal(xt.grad, ref_stft_input_grad(x0, g, nfft, hop, win))
 
 
 class TestButterworth:

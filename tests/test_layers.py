@@ -1,9 +1,12 @@
 """Convolutions, GLU, and LSTM: values, adjointness, and gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from hdrs import layers as L
+from hdrs import tensor as T
 from hdrs.tensor import Tensor, backward
 from oracles import (finite_difference_grad, naive_conv1d,
                      naive_conv_transpose1d, rel_grad_error)
@@ -247,3 +250,32 @@ def test_uniform_init_bounds_and_determinism():
     assert np.max(np.abs(w)) <= 0.1
     w2 = L.uniform_init(np.random.default_rng(42), (50, 100), 100, np.float64)
     np.testing.assert_array_equal(w, w2)
+
+
+@pytest.mark.parametrize("pre", [-800.0, 800.0])
+def test_extreme_preactivations_raise_no_warnings(pre):
+    """Sigmoid gates saturate to 0 or 1 without overflowing exp."""
+    rng = np.random.default_rng(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = t(np.full(6, pre), rg=True)
+        s = T.sigmoid(z)
+        backward(s.sum())
+        assert np.all((s.data >= 0.0) & (s.data <= 1.0))
+        assert np.all(np.isfinite(z.grad))
+
+        # with a == 1 the GLU output is the gate itself
+        x = t(np.concatenate([np.ones((2, 5)), np.full((2, 5), pre)]), rg=True)
+        gate = L.glu(x)
+        backward(gate.sum())
+        assert np.all((gate.data >= 0.0) & (gate.data <= 1.0))
+        assert np.all(np.isfinite(x.grad))
+
+        p = lstm_params(rng, 3, 4, 2, rg=True)
+        for _, _, b in p.layers:
+            b.data[:] = pre
+        seq = t(rng.standard_normal((5, 3)), rg=True)
+        out = L.lstm_forward(seq, p)
+        backward(out.sum())
+        assert np.all(np.abs(out.data) <= 1.0)
+        assert np.all(np.isfinite(seq.grad))
