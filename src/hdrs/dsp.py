@@ -91,28 +91,30 @@ def stft_frame_count(length: int, cfg: StftConfig) -> int:
 
 
 def stft_magnitude(x, cfg: StftConfig) -> Tensor:
-    """One-sided magnitude spectrogram [frames x bins] of a 1-D waveform.
+    """One-sided magnitude spectrograms [..., frames, bins] of waveforms [..., N].
 
-    Frames are Hann-windowed and zero-padded to ``fft_bins``. Differentiable
-    with respect to the waveform: the backward pass maps the magnitude
-    gradient through the DFT analytically (one forward FFT per frame) and
-    overlap-adds frame gradients back onto the signal.
+    Leading axes are independent signals, transformed together by one FFT
+    call. Frames are Hann-windowed and zero-padded to ``fft_bins``.
+    Differentiable with respect to the waveform: the backward pass maps the
+    magnitude gradient through the DFT analytically (one forward FFT per
+    frame) and overlap-adds frame gradients back onto each signal.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    if x.data.ndim != 1:
-        raise ValueError(f"waveform must be 1-D, got {x.shape}")
-    length = x.shape[0]
+    if x.data.ndim == 0:
+        raise ValueError("waveform needs a time axis, got a scalar")
+    length = x.shape[-1]
     if length < cfg.window_len:
         raise TooShort(f"waveform length {length} < window {cfg.window_len}")
     n_frames = stft_frame_count(length, cfg)
     win = _hann_periodic(cfg.window_len)
     data = x.data
-    s = data.strides[0]
-    frames = as_strided(data, (n_frames, cfg.window_len), (cfg.hop * s, s))
-    padded = np.zeros((n_frames, cfg.fft_bins))
-    padded[:, :cfg.window_len] = frames * win
-    spec = fft(padded)[:, :cfg.bins]
+    s = data.strides
+    frames = as_strided(data, data.shape[:-1] + (n_frames, cfg.window_len),
+                        s[:-1] + (cfg.hop * s[-1], s[-1]))
+    padded = np.zeros(frames.shape[:-1] + (cfg.fft_bins,))
+    padded[..., :cfg.window_len] = frames * win
+    spec = fft(padded)[..., :cfg.bins]
     mag = np.abs(spec).astype(x.dtype)
 
     def backward(g):
@@ -120,12 +122,16 @@ def stft_magnitude(x, cfg: StftConfig) -> Tensor:
         # one-sided bins is a forward DFT of the weighted spectrum.
         safe = np.where(mag > 0, mag, 1.0)
         c = np.where(mag > 0, g * np.conj(spec) / safe, 0.0)
-        full = np.zeros((n_frames, cfg.fft_bins), dtype=np.complex128)
-        full[:, :cfg.bins] = c
-        gframes = fft(full).real[:, :cfg.window_len] * win
-        idx = np.arange(n_frames)[:, None] * cfg.hop + np.arange(cfg.window_len)
-        gx = np.bincount(idx.ravel(), weights=gframes.ravel(), minlength=length)
-        x._accum(gx.astype(x.dtype))
+        full = np.zeros(padded.shape, dtype=np.complex128)
+        full[..., :cfg.bins] = c
+        gframes = fft(full).real[..., :cfg.window_len] * win
+        # signal b's frames overlap-add into bins [b * length, (b + 1) * length)
+        n_signals = data.size // length
+        idx = (np.arange(n_signals)[:, None, None] * length
+               + np.arange(n_frames)[:, None] * cfg.hop + np.arange(cfg.window_len))
+        gx = np.bincount(idx.ravel(), weights=gframes.ravel(),
+                         minlength=n_signals * length)
+        x._accum(gx.reshape(x.shape).astype(x.dtype))
 
     return Tensor._make(mag, (x,), backward, "stft_magnitude")
 
@@ -260,46 +266,51 @@ def _sinc_kernels(dtype_name: str):
 
 
 def upsample_4x(x) -> Tensor:
-    """Windowed-sinc interpolation, N samples -> 4N; differentiable."""
+    """Windowed-sinc interpolation along the last axis, [..., N] -> [..., 4N];
+    differentiable."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    n = x.shape[0]
+    n = x.shape[-1]
     kernel, _ = _sinc_kernels(x.dtype.name)
-    full = np.zeros(RESAMPLE_FACTOR * n + _TAPS - RESAMPLE_FACTOR, dtype=x.dtype)
+    full = np.zeros(x.shape[:-1] + (RESAMPLE_FACTOR * n + _TAPS - RESAMPLE_FACTOR,),
+                    dtype=x.dtype)
     data = x.data
     for j in range(_TAPS):
-        full[j:j + RESAMPLE_FACTOR * (n - 1) + 1:RESAMPLE_FACTOR] += data * kernel[j]
-    out = np.ascontiguousarray(full[_HALF:_HALF + RESAMPLE_FACTOR * n])
+        full[..., j:j + RESAMPLE_FACTOR * (n - 1) + 1:RESAMPLE_FACTOR] += data * kernel[j]
+    out = np.ascontiguousarray(full[..., _HALF:_HALF + RESAMPLE_FACTOR * n])
 
     def backward(g):
         gfull = np.zeros_like(full)
-        gfull[_HALF:_HALF + RESAMPLE_FACTOR * n] = g
-        s = gfull.strides[0]
-        patches = as_strided(gfull, (n, _TAPS), (RESAMPLE_FACTOR * s, s))
+        gfull[..., _HALF:_HALF + RESAMPLE_FACTOR * n] = g
+        s = gfull.strides
+        patches = as_strided(gfull, gfull.shape[:-1] + (n, _TAPS),
+                             s[:-1] + (RESAMPLE_FACTOR * s[-1], s[-1]))
         x._accum(patches @ kernel)
 
     return Tensor._make(out, (x,), backward, "upsample_4x")
 
 
 def downsample_4x(x) -> Tensor:
-    """Anti-aliased decimation, 4N samples -> N; differentiable."""
+    """Anti-aliased decimation along the last axis, [..., 4N] -> [..., N];
+    differentiable."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    n = x.shape[0]
+    n = x.shape[-1]
     if n % RESAMPLE_FACTOR:
         raise LengthNotDivisible(f"length {n} not divisible by {RESAMPLE_FACTOR}")
     m = n // RESAMPLE_FACTOR
     _, kernel = _sinc_kernels(x.dtype.name)
-    xp = np.pad(x.data, _HALF)
-    s = xp.strides[0]
-    patches = as_strided(xp, (m, _TAPS), (RESAMPLE_FACTOR * s, s))
+    xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(_HALF, _HALF)])
+    s = xp.strides
+    patches = as_strided(xp, xp.shape[:-1] + (m, _TAPS),
+                         s[:-1] + (RESAMPLE_FACTOR * s[-1], s[-1]))
     out = patches @ kernel
 
     def backward(g):
         gxp = np.zeros_like(xp)
         for j in range(_TAPS):
-            gxp[j:j + RESAMPLE_FACTOR * (m - 1) + 1:RESAMPLE_FACTOR] += g * kernel[j]
-        x._accum(gxp[_HALF:_HALF + n])
+            gxp[..., j:j + RESAMPLE_FACTOR * (m - 1) + 1:RESAMPLE_FACTOR] += g * kernel[j]
+        x._accum(gxp[..., _HALF:_HALF + n])
 
     return Tensor._make(out, (x,), backward, "downsample_4x")
 

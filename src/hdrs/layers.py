@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, stable_sigmoid
+from .tensor import Tensor, _unbroadcast, stable_sigmoid
 
 
 class InputTooShort(ValueError):
@@ -59,169 +59,189 @@ def conv_transpose1d_length(length: int, kernel: int, stride: int, padding: int,
 
 def _gather_patches(xp: np.ndarray, kernel: int, stride: int, dilation: int,
                     l_out: int) -> np.ndarray:
-    c, s = xp.shape[0], xp.strides
-    return as_strided(xp, (c, kernel, l_out), (s[0], dilation * s[1], stride * s[1]))
+    """[..., C, L] -> [..., C, kernel, l_out] strided view of every tap."""
+    s = xp.strides
+    return as_strided(xp, xp.shape[:-1] + (kernel, l_out),
+                      s[:-1] + (dilation * s[-1], stride * s[-1]))
 
 
 def _scatter_patches(target: np.ndarray, patches: np.ndarray, kernel: int,
                      stride: int, dilation: int) -> None:
-    l_out = patches.shape[2]
+    l_out = patches.shape[-1]
     hi = stride * (l_out - 1) + 1
     for j in range(kernel):
-        target[:, j * dilation:j * dilation + hi:stride] += patches[:, j, :]
+        target[..., j * dilation:j * dilation + hi:stride] += patches[..., j, :]
+
+
+def _pad_last(a: np.ndarray, pad: int) -> np.ndarray:
+    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(pad, pad)])
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Strided dilated convolution over [in_ch, L] -> [out_ch, L']."""
+    """Strided dilated convolution over [..., in_ch, L] -> [..., out_ch, L'].
+
+    Leading axes are independent items; the im2col product broadcasts over them.
+    """
     c_out, c_in, k = p.weight.shape
-    if x.data.ndim != 2 or x.shape[0] != c_in:
+    if x.data.ndim < 2 or x.shape[-2] != c_in:
         raise ValueError(f"conv1d input {x.shape} does not match weight {p.weight.shape}")
+    lead, length = x.shape[:-2], x.shape[-1]
     span = p.dilation * (k - 1) + 1
-    if x.shape[1] + 2 * p.padding < span:
+    if length + 2 * p.padding < span:
         raise InputTooShort(
-            f"length {x.shape[1]} + 2*{p.padding} pad < receptive span {span}")
-    l_out = conv1d_length(x.shape[1], k, p.stride, p.padding, p.dilation)
-    xp = np.pad(x.data, ((0, 0), (p.padding, p.padding))) if p.padding else x.data
+            f"length {length} + 2*{p.padding} pad < receptive span {span}")
+    l_out = conv1d_length(length, k, p.stride, p.padding, p.dilation)
+    xp = _pad_last(x.data, p.padding) if p.padding else x.data
     patches = _gather_patches(xp, k, p.stride, p.dilation, l_out)
-    flat = np.ascontiguousarray(patches).reshape(c_in * k, l_out)
+    flat = np.ascontiguousarray(patches).reshape(lead + (c_in * k, l_out))
     w2 = p.weight.data.reshape(c_out, c_in * k)
     out = w2 @ flat
     if p.bias is not None:
         out = out + p.bias.data[:, None]
 
     def backward(g):
-        p.weight._accum((g @ flat.T).reshape(c_out, c_in, k))
+        p.weight._accum(_unbroadcast(g @ flat.swapaxes(-1, -2), w2.shape)
+                        .reshape(c_out, c_in, k))
         if p.bias is not None:
-            p.bias._accum(g.sum(axis=1))
-        gp = (w2.T @ g).reshape(c_in, k, l_out)
+            p.bias._accum(_unbroadcast(g.sum(axis=-1), (c_out,)))
+        gp = (w2.T @ g).reshape(lead + (c_in, k, l_out))
         gxp = np.zeros_like(xp)
         _scatter_patches(gxp, gp, k, p.stride, p.dilation)
-        x._accum(gxp[:, p.padding:xp.shape[1] - p.padding] if p.padding else gxp)
+        x._accum(gxp[..., p.padding:xp.shape[-1] - p.padding] if p.padding else gxp)
 
     parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
     return Tensor._make(np.ascontiguousarray(out), parents, backward, "conv1d")
 
 
 def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Adjoint of conv1d over [in_ch, L] -> [out_ch, L'] with dilation support."""
+    """Adjoint of conv1d over [..., in_ch, L] -> [..., out_ch, L'] with dilation support."""
     c_in, c_out, k = p.weight.shape
-    if x.data.ndim != 2 or x.shape[0] != c_in:
+    if x.data.ndim < 2 or x.shape[-2] != c_in:
         raise ValueError(f"conv_transpose1d input {x.shape} vs weight {p.weight.shape}")
-    l_in = x.shape[1]
+    lead, l_in = x.shape[:-2], x.shape[-1]
     l_out = conv_transpose1d_length(l_in, k, p.stride, p.padding, p.dilation)
     if l_out <= 0:
         raise NegativeOutputLength(f"output length {l_out} for input {l_in}")
     l_full = (l_in - 1) * p.stride + p.dilation * (k - 1) + 1
     w2 = p.weight.data.reshape(c_in, c_out * k)
-    gp = (w2.T @ x.data).reshape(c_out, k, l_in)
-    full = np.zeros((c_out, l_full), dtype=x.dtype)
+    gp = (w2.T @ x.data).reshape(lead + (c_out, k, l_in))
+    full = np.zeros(lead + (c_out, l_full), dtype=x.dtype)
     _scatter_patches(full, gp, k, p.stride, p.dilation)
-    out = full[:, p.padding:l_full - p.padding] if p.padding else full
+    out = full[..., p.padding:l_full - p.padding] if p.padding else full
     if p.bias is not None:
         out = out + p.bias.data[:, None]
 
     def backward(g):
-        gfull = np.pad(g, ((0, 0), (p.padding, p.padding))) if p.padding else g
+        gfull = _pad_last(g, p.padding) if p.padding else g
         patches = _gather_patches(gfull, k, p.stride, p.dilation, l_in)
-        flat = np.ascontiguousarray(patches).reshape(c_out * k, l_in)
+        flat = np.ascontiguousarray(patches).reshape(lead + (c_out * k, l_in))
         x._accum(w2 @ flat)
-        p.weight._accum((x.data @ flat.T).reshape(c_in, c_out, k))
+        p.weight._accum(_unbroadcast(x.data @ flat.swapaxes(-1, -2), w2.shape)
+                        .reshape(c_in, c_out, k))
         if p.bias is not None:
-            p.bias._accum(g.sum(axis=1))
+            p.bias._accum(_unbroadcast(g.sum(axis=-1), (c_out,)))
 
     parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
     return Tensor._make(np.ascontiguousarray(out), parents, backward, "conv_transpose1d")
 
 
 def glu(x: Tensor) -> Tensor:
-    """Gated linear unit over the channel axis: a * sigmoid(b)."""
-    c = x.shape[0]
+    """Gated linear unit over the channel axis of [..., C, L]: a * sigmoid(b)."""
+    c = x.shape[-2]
     if c % 2:
         raise OddChannels(f"GLU needs an even channel count, got {c}")
     half = c // 2
-    a = x.data[:half]
-    gate_in = x.data[half:]
-    gate = stable_sigmoid(gate_in)
+    a = x.data[..., :half, :]
+    gate = stable_sigmoid(x.data[..., half:, :])
     out = a * gate
 
     def backward(g):
         gx = np.empty_like(x.data)
-        gx[:half] = g * gate
-        gx[half:] = g * a * gate * (1.0 - gate)
+        gx[..., :half, :] = g * gate
+        gx[..., half:, :] = g * a * gate * (1.0 - gate)
         x._accum(gx)
 
     return Tensor._make(out, (x,), backward, "glu")
 
 
-def lstm_forward(x: Tensor, p: LstmParams) -> Tensor:
-    """Stacked unidirectional LSTM over [T, in] -> [T, H], zero initial state.
+def _gate_views(gates: np.ndarray, h_dim: int) -> list:
+    """The (input, forget, cell, output) slices of [T, B, 4H] gate storage."""
+    return [gates[..., k * h_dim:(k + 1) * h_dim] for k in range(4)]
 
-    Implemented as a single fused op: the forward loop stores per-step gate
-    activations so the backward pass can run standard truncated-free BPTT
-    without growing the tape with T nodes.
+
+def lstm_forward(x: Tensor, p: LstmParams) -> Tensor:
+    """Stacked unidirectional LSTM over [..., T, in] -> [..., T, H], zero initial state.
+
+    Leading axes are independent sequences, stepped together as the B rows
+    of one [B, H] state. Implemented as a single fused op: the forward loop
+    stores per-step gate activations so the backward pass can run full BPTT
+    without growing the tape with T nodes. Each step multiplies with w_hh on
+    the left, so B=1 stays a matrix-vector product and at larger B one BLAS
+    call beats B of them.
     """
+    lead, t_len = x.shape[:-2], x.shape[-2]
+    # time-major [T, B, in], so every step reads and writes contiguous rows
+    seq = np.ascontiguousarray(np.swapaxes(x.data.reshape((-1,) + x.shape[-2:]), 0, 1))
+    n_b = seq.shape[1]
     caches = []
-    seq = x.data
     for (w_ih, w_hh, b) in p.layers:
         h_dim = w_hh.shape[1]
-        t_len = seq.shape[0]
-        pre = seq @ w_ih.data.T + b.data
-        gates = np.empty((t_len, 4 * h_dim), dtype=seq.dtype)
-        cells = np.empty((t_len, h_dim), dtype=seq.dtype)
-        outs = np.empty((t_len, h_dim), dtype=seq.dtype)
-        h = np.zeros(h_dim, dtype=seq.dtype)
-        c = np.zeros(h_dim, dtype=seq.dtype)
-        w_hh_t = w_hh.data.T
+        pre = (seq.reshape(t_len * n_b, -1) @ w_ih.data.T + b.data).reshape(
+            t_len, n_b, 4 * h_dim)
+        gates = np.empty_like(pre)
+        i, f, gc, o = _gate_views(gates, h_dim)
+        cells = np.empty((t_len, n_b, h_dim), dtype=pre.dtype)
+        outs = np.empty_like(cells)
+        h = np.zeros((n_b, h_dim), dtype=pre.dtype)
+        c = np.zeros((n_b, h_dim), dtype=pre.dtype)
+        w = w_hh.data
         for t in range(t_len):
-            z = pre[t] + h @ w_hh_t
-            gt = gates[t]
-            gt[:] = stable_sigmoid(z)
-            gt[2 * h_dim:3 * h_dim] = np.tanh(z[2 * h_dim:3 * h_dim])
-            i, f, gc, o = (gt[:h_dim], gt[h_dim:2 * h_dim],
-                           gt[2 * h_dim:3 * h_dim], gt[3 * h_dim:])
-            c = f * c + i * gc
-            h = o * np.tanh(c)
-            cells[t] = c
-            outs[t] = h
+            z = pre[t] + (w @ h.T).T
+            gates[t] = stable_sigmoid(z)
+            g_t = np.tanh(z[:, 2 * h_dim:3 * h_dim], out=gc[t])
+            c = np.add(f[t] * c, i[t] * g_t, out=cells[t])
+            h = np.multiply(o[t], np.tanh(c), out=outs[t])
         caches.append((seq, gates, cells, outs))
         seq = outs
+    out = np.ascontiguousarray(np.swapaxes(seq, 0, 1)).reshape(lead + (t_len, seq.shape[-1]))
 
     def backward(g):
-        grad_seq = g
+        grad_seq = np.swapaxes(g.reshape((n_b,) + g.shape[-2:]), 0, 1)
         for (w_ih, w_hh, b), (inp, gates, cells, outs) in zip(reversed(p.layers),
                                                               reversed(caches)):
             h_dim = w_hh.shape[1]
-            t_len = inp.shape[0]
+            i, f, gc, o = _gate_views(gates, h_dim)
             tanh_c = np.tanh(cells)
-            dz_all = np.empty((t_len, 4 * h_dim), dtype=inp.dtype)
-            dh_next = np.zeros(h_dim, dtype=inp.dtype)
-            dc_next = np.zeros(h_dim, dtype=inp.dtype)
+            c_prev = np.concatenate([np.zeros_like(cells[:1]), cells[:-1]])
+            # Everything but the recurrence, over all T at once: dc/dh and the
+            # gate pre-activation factors K, so that dz[t] = [dc, dc, dc, dh] * K[t].
+            dc_dh = o * (1.0 - tanh_c * tanh_c)
+            k_all = np.stack([gc * i * (1.0 - i), c_prev * f * (1.0 - f),
+                              i * (1.0 - gc * gc), tanh_c * o * (1.0 - o)], axis=2)
+            dz_all = np.empty_like(k_all)
+            w_t = np.ascontiguousarray(w_hh.data.T)
+            dh_next = np.zeros((n_b, h_dim), dtype=inp.dtype)
+            dc_next = np.zeros((n_b, h_dim), dtype=inp.dtype)
             for t in range(t_len - 1, -1, -1):
-                i = gates[t, :h_dim]
-                f = gates[t, h_dim:2 * h_dim]
-                gc = gates[t, 2 * h_dim:3 * h_dim]
-                o = gates[t, 3 * h_dim:]
-                c_prev = cells[t - 1] if t > 0 else np.zeros(h_dim, dtype=inp.dtype)
                 dh = grad_seq[t] + dh_next
-                dc = dc_next + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-                dz = dz_all[t]
-                dz[:h_dim] = dc * gc * i * (1.0 - i)
-                dz[h_dim:2 * h_dim] = dc * c_prev * f * (1.0 - f)
-                dz[2 * h_dim:3 * h_dim] = dc * i * (1.0 - gc * gc)
-                dz[3 * h_dim:] = dh * tanh_c[t] * o * (1.0 - o)
-                dh_next = dz @ w_hh.data
-                dc_next = dc * f
-            h_prev = np.vstack([np.zeros((1, h_dim), dtype=inp.dtype), outs[:-1]])
-            w_ih._accum(dz_all.T @ inp)
-            w_hh._accum(dz_all.T @ h_prev)
-            b._accum(dz_all.sum(axis=0))
-            grad_seq = dz_all @ w_ih.data
-        x._accum(grad_seq)
+                dc = dc_next + dh * dc_dh[t]
+                kt, dz = k_all[t], dz_all[t]
+                np.multiply(kt[:, :3], dc[:, None], out=dz[:, :3])
+                np.multiply(kt[:, 3], dh, out=dz[:, 3])
+                dh_next = (w_t @ dz.reshape(n_b, 4 * h_dim).T).T
+                dc_next = dc * f[t]
+            dz_flat = dz_all.reshape(t_len * n_b, 4 * h_dim)
+            h_prev = np.concatenate([np.zeros_like(outs[:1]), outs[:-1]])
+            w_ih._accum(dz_flat.T @ inp.reshape(t_len * n_b, -1))
+            w_hh._accum(dz_flat.T @ h_prev.reshape(t_len * n_b, h_dim))
+            b._accum(dz_flat.sum(axis=0))
+            grad_seq = (dz_flat @ w_ih.data).reshape(t_len, n_b, -1)
+        x._accum(np.ascontiguousarray(np.swapaxes(grad_seq, 0, 1)).reshape(x.shape))
 
     parents = [x]
     for layer in p.layers:
         parents.extend(layer)
-    return Tensor._make(seq, tuple(parents), backward, "lstm")
+    return Tensor._make(out, tuple(parents), backward, "lstm")
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:

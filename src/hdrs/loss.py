@@ -4,6 +4,10 @@ The spectral term sums, over three STFT resolutions, a spectral-convergence
 ratio and a log-magnitude L1 distance scaled by 1/T (T = waveform length in
 samples). The log floor of 1e-5 keeps zero-magnitude bins finite. Total is
 the unweighted sum of the time and frequency terms.
+
+Waveforms are [N] or a batch [B, N] of equal length. On a batch every term
+is the mean over items of the per-item term, so each reported component
+keeps its single-item meaning.
 """
 
 from __future__ import annotations
@@ -50,20 +54,23 @@ def loss_time(x: Tensor, x_hat: Tensor) -> Tensor:
 
 
 def loss_sc(mag_ref: Tensor, mag_est: Tensor) -> Tensor:
-    """Spectral convergence ||X - X_hat||_F / ||X||_F."""
+    """Spectral convergence ||X - X_hat||_F / ||X||_F of each [frames, bins]
+    spectrogram, averaged over leading axes."""
     if mag_ref.shape != mag_est.shape:
         raise LengthMismatch(f"spectra shapes differ: {mag_ref.shape} vs {mag_est.shape}")
-    denom = T.frobenius_norm(mag_ref)
-    if denom.item() == 0.0:
+    denom = T.frobenius_norm(mag_ref, (-2, -1))
+    if (denom.data == 0.0).any():
         raise ZeroReference("reference spectrum has zero Frobenius norm")
-    return T.frobenius_norm(mag_ref - mag_est) / denom
+    return T.mean(T.frobenius_norm(mag_ref - mag_est, (-2, -1)) / denom)
 
 
 def loss_mag(mag_ref: Tensor, mag_est: Tensor) -> Tensor:
-    """Summed L1 distance between floored log magnitudes."""
+    """Summed L1 distance between floored log magnitudes of each spectrogram,
+    averaged over leading axes."""
     if mag_ref.shape != mag_est.shape:
         raise LengthMismatch(f"spectra shapes differ: {mag_ref.shape} vs {mag_est.shape}")
-    return T.l1_norm(T.log(mag_ref + LOG_FLOOR) - T.log(mag_est + LOG_FLOOR))
+    return T.mean(T.l1_norm(T.log(mag_ref + LOG_FLOOR) - T.log(mag_est + LOG_FLOOR),
+                            (-2, -1)))
 
 
 def loss_freq(x: Tensor, x_hat: Tensor,
@@ -72,9 +79,9 @@ def loss_freq(x: Tensor, x_hat: Tensor,
     if x.shape != x_hat.shape:
         raise LengthMismatch(f"waveform shapes differ: {x.shape} vs {x_hat.shape}")
     longest = max(cfg.window_len for cfg in resolutions)
-    if x.shape[0] < longest:
-        raise TooShort(f"need at least {longest} samples, got {x.shape[0]}")
-    t_len = float(x.shape[0])
+    if x.shape[-1] < longest:
+        raise TooShort(f"need at least {longest} samples, got {x.shape[-1]}")
+    t_len = float(x.shape[-1])
     sc_terms = []
     mag_terms = []
     total = None

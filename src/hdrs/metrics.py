@@ -109,11 +109,11 @@ def evaluate(manifest_path, params: dict, cfg: ModelConfig,
         with T.no_grad():
             restored = forward(dist.astype(np.float32), params, cfg).x_hat.data
         restored = restored.astype(np.float64)
+        si_in = si_sdr(clean, dist)
+        si_out = si_sdr(clean, restored)
         rows.append(EvalRow(
             path=r.distorted_path, subset=r.subset,
-            si_sdr_in=si_sdr(clean, dist),
-            si_sdr_out=si_sdr(clean, restored),
-            si_sdr_impr=si_sdr(clean, restored) - si_sdr(clean, dist),
+            si_sdr_in=si_in, si_sdr_out=si_out, si_sdr_impr=si_out - si_in,
             mrsd_in=mr_spectral_distance(clean, dist),
             mrsd_out=mr_spectral_distance(clean, restored),
         ))

@@ -206,12 +206,12 @@ def _conv(params, name, stride=1, padding=0, dilation=1) -> Conv1dParams:
 def encode(h: Tensor, params: dict, cfg: ModelConfig):
     """Encoder stack plus residual LSTM bottleneck.
 
-    Input is [1, L_up] with L_up a multiple of stride**depth; returns the
-    bottleneck [C, T] and the per-block skip outputs.
+    Input is [..., 1, L_up] with L_up a multiple of stride**depth; returns
+    the bottleneck [..., C, T] and the per-block skip outputs.
     """
-    if h.shape[1] % (cfg.stride ** cfg.depth):
+    if h.shape[-1] % (cfg.stride ** cfg.depth):
         raise InvalidLength(
-            f"encoder input length {h.shape[1]} not a multiple of {cfg.stride ** cfg.depth}")
+            f"encoder input length {h.shape[-1]} not a multiple of {cfg.stride ** cfg.depth}")
     skips = []
     for i in range(cfg.depth):
         h = conv1d(h, _conv(params, f"enc.{i}.conv", cfg.stride, cfg.enc_padding))
@@ -261,7 +261,7 @@ def refinement_decode(feeds: list, params: dict, cfg: ModelConfig,
 
 def fuse(refined: Tensor, masked: Tensor, params: dict, cfg: ModelConfig):
     """Per-sample weight w in (0,1) and the convex combination of branches."""
-    h = T.concat([refined, masked], axis=0)
+    h = T.concat([refined, masked], axis=-2)
     h = T.leaky_relu(conv1d(h, _conv(params, "fusion.0", padding=1)), 0.01)
     h = T.leaky_relu(conv1d(h, _conv(params, "fusion.1", padding=1)), 0.01)
     w = T.sigmoid(conv1d(h, _conv(params, "fusion.2", padding=1)))
@@ -270,10 +270,12 @@ def fuse(refined: Tensor, masked: Tensor, params: dict, cfg: ModelConfig):
 
 
 def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) -> ForwardTrace:
-    """Full restoration pass; output length always equals input length.
+    """Full restoration pass over a waveform [N] or a batch [B, N] of equal
+    length; output length always equals input length.
 
-    ``w_override`` pins the fusion weight to a constant (the warm training
-    phase runs the full model with w=0.5 and the fusion stack detached).
+    Every item is normalized by its own standard deviation. ``w_override``
+    pins the fusion weight to a constant (the warm training phase runs the
+    full model with w=0.5 and the fusion stack detached).
     """
     if isinstance(y, AudioBuffer):
         if y.sample_rate != cfg.sample_rate:
@@ -285,18 +287,19 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) 
     else:
         dtype = next(iter(params.values())).dtype
         x = Tensor(np.asarray(y), dtype=dtype)
-    n = x.shape[0]
+    n = x.shape[-1]
     if n == 0:
         raise EmptyInput("empty waveform")
 
-    sigma = T.std(x)
+    sigma = T.std(x, -1, keepdims=True)
     xn = x / (sigma + STD_FLOOR)
     mult = cfg.stride ** cfg.depth
     pad = (-n) % mult
     if pad:
-        xn = T.pad_axis(xn, 0, 0, pad)
+        xn = T.pad_axis(xn, -1, 0, pad)
     y_up = upsample_4x(xn)
-    h = T.reshape(y_up, (1, y_up.shape[0]))
+    # one input channel: [..., L_up] -> [..., 1, L_up]
+    h = T.reshape(y_up, y_up.shape[:-1] + (1, y_up.shape[-1]))
 
     bottleneck, skips = encode(h, params, cfg)
     enc_feeds = [bottleneck + skips[-1]] + [skips[cfg.depth - 1 - i]
@@ -322,11 +325,11 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) 
             wc = 0.5 if w_override is None else float(w_override)
             out2 = wc * refined2 + (1.0 - wc) * masked2
 
-    x_hat_up = T.reshape(out2, (out2.shape[1],))
-    x_hat = T.narrow(downsample_4x(x_hat_up), 0, 0, n) * sigma
+    x_hat_up = T.reshape(out2, y_up.shape)
+    x_hat = T.narrow(downsample_4x(x_hat_up), -1, 0, n) * sigma
 
     def squeeze(t2):
-        return None if t2 is None else T.reshape(t2, (t2.shape[1],))
+        return None if t2 is None else T.reshape(t2, y_up.shape)
 
     return ForwardTrace(y_up=y_up, x_hat_up=x_hat_up, x_hat=x_hat,
                         mask=squeeze(mask2), refined=squeeze(refined2), w=squeeze(w2))

@@ -309,6 +309,11 @@ def _check_nonempty(a: Tensor, axes: tuple[int, ...], op: str) -> int:
 
 def _expand(g: np.ndarray, a_shape: tuple[int, ...], axes: tuple[int, ...],
             keepdims: bool) -> np.ndarray:
+    """Read-only broadcast of a reduction's gradient back to the input shape.
+
+    Callers that need an owned array take ``.copy()``, which keeps a 0-d
+    shape where ``np.ascontiguousarray`` would return shape (1,).
+    """
     if not keepdims:
         for ax in sorted(axes):
             g = np.expand_dims(g, ax)
@@ -321,7 +326,7 @@ def sum_(a: Tensor, axes=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axes, keepdims=keepdims)
 
     def backward(g):
-        a._accum(np.ascontiguousarray(_expand(g, a.shape, axes, keepdims)))
+        a._accum(_expand(g, a.shape, axes, keepdims).copy())
 
     return Tensor._make(np.asarray(data), (a,), backward, "sum")
 
@@ -333,7 +338,7 @@ def mean(a: Tensor, axes=None, keepdims=False) -> Tensor:
     inv_n = a.dtype.type(1.0 / n)
 
     def backward(g):
-        a._accum(np.ascontiguousarray(_expand(g * inv_n, a.shape, axes, keepdims)))
+        a._accum(_expand(g * inv_n, a.shape, axes, keepdims).copy())
 
     return Tensor._make(np.asarray(data), (a,), backward, "mean")
 
@@ -396,12 +401,13 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"transpose expects 2-D, got {a.shape}")
-    data = np.ascontiguousarray(a.data.T)
+    """Swap the last two axes; leading axes pass through."""
+    if a.data.ndim < 2:
+        raise ShapeMismatch(f"transpose expects at least 2-D, got {a.shape}")
+    data = np.ascontiguousarray(np.swapaxes(a.data, -1, -2))
 
     def backward(g):
-        a._accum(np.ascontiguousarray(g.T))
+        a._accum(np.ascontiguousarray(np.swapaxes(g, -1, -2)))
 
     return Tensor._make(data, (a,), backward, "transpose")
 

@@ -231,12 +231,35 @@ def _batch_items(corpus_len: int, step: int, cfg: TrainConfig):
     return items
 
 
+def _backward_step(corpus: _Corpus, step: int, params: dict, model_cfg: ModelConfig,
+                   train_cfg: TrainConfig, w_override) -> tuple:
+    """One forward, loss and backward over the step's stacked [B, N] crops;
+    leaves the batch-mean gradients on ``params`` and returns (l_time, l_freq,
+    total). The tape dies on return, before the next step builds its own."""
+    crops = []
+    for epoch, item in _batch_items(len(corpus), step, train_cfg):
+        clean_len = len(corpus.pairs[item][0])
+        offset = _crop_offset(train_cfg.seed, epoch, item,
+                              clean_len - train_cfg.segment_samples)
+        crops.append(corpus.segment(item, offset, train_cfg.segment_samples))
+    clean, dist = (np.stack(c) for c in zip(*crops))
+    trace = forward(dist, params, model_cfg, w_override=w_override)
+    rep = loss_total(Tensor(clean, dtype=np.float32), trace.x_hat)
+    if not np.isfinite(rep.total):
+        raise NonFiniteLoss(f"loss diverged at step {step + 1}")
+    T.backward(rep.tensor)
+    return rep.l_time, rep.l_freq, rep.total
+
+
 # -- main loop ---------------------------------------------------------------------
 
 
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig, manifest_path,
           out_dir, resume=None, quiet: bool = True):
     """Run the loop to ``total_steps``; returns (params, state, log rows).
+
+    Each step stacks its ``batch_size`` crops into one [B, N] batch and runs
+    one forward and one backward pass; the logged losses are batch means.
 
     Writes ``metrics.log`` (tab-separated: step, phase, lr, l_time, l_freq,
     total) and periodic plus final checkpoints under ``out_dir``.
@@ -266,31 +289,13 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, manifest_path,
             state.phase = "warm" if warm else "joint"
             w_override = 0.5 if (warm and model_cfg.variant == "hd_demucs") else None
 
-            batch_loss = None
-            acc = {"l_time": 0.0, "l_freq": 0.0, "total": 0.0}
-            for epoch, item in _batch_items(len(corpus), step, train_cfg):
-                clean_len = len(corpus.pairs[item][0])
-                offset = _crop_offset(train_cfg.seed, epoch, item,
-                                      clean_len - train_cfg.segment_samples)
-                clean, dist = corpus.segment(item, offset, train_cfg.segment_samples)
-                trace = forward(dist, params, model_cfg, w_override=w_override)
-                rep = loss_total(Tensor(clean, dtype=np.float32), trace.x_hat)
-                acc["l_time"] += rep.l_time
-                acc["l_freq"] += rep.l_freq
-                acc["total"] += rep.total
-                batch_loss = rep.tensor if batch_loss is None else batch_loss + rep.tensor
-            batch_loss = batch_loss * (1.0 / train_cfg.batch_size)
-            if not np.isfinite(batch_loss.item()):
-                raise NonFiniteLoss(f"loss diverged at step {step + 1}")
-            T.backward(batch_loss)
+            losses = _backward_step(corpus, step, params, model_cfg, train_cfg, w_override)
             if train_cfg.grad_clip > 0:
                 clip_gradients(params, train_cfg.grad_clip)
             lr_t = cosine_lr(step, train_cfg)
             adam_step(params, state, train_cfg, lr_t)
 
-            b = train_cfg.batch_size
-            row = (state.step, state.phase, lr_t,
-                   acc["l_time"] / b, acc["l_freq"] / b, acc["total"] / b)
+            row = (state.step, state.phase, lr_t) + losses
             rows.append(row)
             log.write("\t".join([str(row[0]), row[1]] + [f"{v:.10g}" for v in row[2:]]) + "\n")
             if not quiet:

@@ -9,7 +9,8 @@ from hdrs import dsp
 from hdrs.audio import AudioBuffer
 from hdrs.tensor import Tensor, backward
 from oracles import (LOSS_RESOLUTIONS, finite_difference_grad, naive_convolve_full,
-                     naive_dft, ref_si_sdr, ref_stft_input_grad, rel_grad_error)
+                     naive_dft, ref_si_sdr, ref_stft_input_grad, ref_stft_mag,
+                     rel_grad_error)
 
 SR = 16000.0
 
@@ -113,6 +114,23 @@ class TestStft:
         g = rng.standard_normal(mag.shape)
         backward((mag * Tensor(g)).sum())
         np.testing.assert_array_equal(xt.grad, ref_stft_input_grad(x0, g, nfft, hop, win))
+
+    @pytest.mark.parametrize("nfft,hop,win", LOSS_RESOLUTIONS)
+    def test_batched_rows_match_single_signals(self, nfft, hop, win):
+        # two distinct signals in one call: no frame or overlap-add crosses items
+        cfg = dsp.StftConfig(nfft, hop, win)
+        rng = np.random.default_rng(nfft + 1)
+        xb = rng.standard_normal((2, 4000))
+        xt = Tensor(xb, requires_grad=True)
+        mag = dsp.stft_magnitude(xt, cfg)
+        g = rng.standard_normal(mag.shape)
+        backward((mag * Tensor(g)).sum())
+        for i in range(2):
+            np.testing.assert_array_equal(mag.data[i], dsp.stft_magnitude(xb[i], cfg).data)
+            np.testing.assert_allclose(mag.data[i], ref_stft_mag(xb[i], nfft, hop, win),
+                                       atol=1e-8)
+            np.testing.assert_array_equal(
+                xt.grad[i], ref_stft_input_grad(xb[i], g[i], nfft, hop, win))
 
 
 class TestButterworth:
@@ -226,6 +244,16 @@ class TestResample:
         y = dsp.downsample_4x(dsp.upsample_4x(x)).data
         cut = slice(256, -256)
         assert ref_si_sdr(x[cut], y[cut]) > 40.0
+        # a batch of two distinct tones: each row equals its own single call
+        xb = np.stack([x, 0.5 * np.sin(2 * np.pi * 2500.0 * t)])
+        up = dsp.upsample_4x(xb).data
+        yb = dsp.downsample_4x(up).data
+        assert up.shape == (2, 4 * 4096) and yb.shape == (2, 4096)
+        for i in range(2):
+            up_i = dsp.upsample_4x(xb[i]).data
+            np.testing.assert_allclose(up[i], up_i, atol=1e-12)
+            np.testing.assert_allclose(yb[i], dsp.downsample_4x(up_i).data, atol=1e-12)
+            assert ref_si_sdr(xb[i][cut], yb[i][cut]) > 40.0
 
     def test_up_gradient(self):
         rng = np.random.default_rng(6)

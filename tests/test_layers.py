@@ -33,12 +33,20 @@ class TestConv1d:
     def test_matches_naive(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 20))
+        xb = rng.standard_normal((2, 3, 20))  # two distinct items
         w = rng.standard_normal((5, 3, 4))
         b = rng.standard_normal(5)
         for stride, pad, dil in [(1, 0, 1), (2, 3, 1), (4, 2, 1), (1, 4, 3), (3, 5, 2)]:
-            got = L.conv1d(t(x), conv_params(w, b, stride, pad, dil)).data
+            p = conv_params(w, b, stride, pad, dil)
+            got = L.conv1d(t(x), p).data
             np.testing.assert_allclose(got, naive_conv1d(x, w, b, stride, pad, dil),
                                        atol=1e-12)
+            batched = L.conv1d(t(xb), p).data
+            for i in range(2):
+                np.testing.assert_allclose(batched[i], L.conv1d(t(xb[i]), p).data,
+                                           atol=1e-12)
+                np.testing.assert_allclose(
+                    batched[i], naive_conv1d(xb[i], w, b, stride, pad, dil), atol=1e-12)
 
     def test_too_short(self):
         p = conv_params(np.ones((1, 1, 8)), stride=4)
@@ -75,12 +83,21 @@ class TestConvTranspose1d:
     def test_matches_naive(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 6))
+        xb = rng.standard_normal((2, 3, 6))  # two distinct items
         w = rng.standard_normal((3, 2, 8))
         b = rng.standard_normal(2)
         for stride, pad, dil in [(4, 2, 1), (4, 9, 3), (1, 0, 1), (2, 1, 2)]:
-            got = L.conv_transpose1d(t(x), conv_params(w, b, stride, pad, dil)).data
+            p = conv_params(w, b, stride, pad, dil)
+            got = L.conv_transpose1d(t(x), p).data
             np.testing.assert_allclose(
                 got, naive_conv_transpose1d(x, w, b, stride, pad, dil), atol=1e-12)
+            batched = L.conv_transpose1d(t(xb), p).data
+            for i in range(2):
+                np.testing.assert_allclose(batched[i], L.conv_transpose1d(t(xb[i]), p).data,
+                                           atol=1e-12)
+                np.testing.assert_allclose(
+                    batched[i], naive_conv_transpose1d(xb[i], w, b, stride, pad, dil),
+                    atol=1e-12)
 
     def test_negative_output_length(self):
         p = conv_params(np.ones((1, 1, 2)), stride=1, padding=5)
@@ -203,45 +220,62 @@ class TestLstm:
     def test_sequence_matches_unrolled_cell(self):
         rng = np.random.default_rng(8)
         p = lstm_params(rng, 3, 4, 2)
+
+        def unrolled(x):
+            seq = x
+            for w_ih, w_hh, b in [(a.data, bb.data, c.data) for a, bb, c in p.layers]:
+                h, c = np.zeros(4), np.zeros(4)
+                nxt = []
+                for row in seq:
+                    h, c = ref_lstm_cell(row, h, c, w_ih, w_hh, b)
+                    nxt.append(h)
+                seq = np.array(nxt)
+            return seq
+
         x = rng.standard_normal((6, 3))
-        out = L.lstm_forward(t(x), p).data
-        seq = x
-        for w_ih, w_hh, b in [(a.data, bb.data, c.data) for a, bb, c in p.layers]:
-            h, c = np.zeros(4), np.zeros(4)
-            nxt = []
-            for row in seq:
-                h, c = ref_lstm_cell(row, h, c, w_ih, w_hh, b)
-                nxt.append(h)
-            seq = np.array(nxt)
-        np.testing.assert_allclose(out, seq, atol=1e-12)
+        np.testing.assert_allclose(L.lstm_forward(t(x), p).data, unrolled(x), atol=1e-12)
+        # two distinct sequences stepped together: no state bleeds between rows
+        xb = rng.standard_normal((2, 6, 3))
+        batched = L.lstm_forward(t(xb), p).data
+        assert batched.shape == (2, 6, 4)
+        for i in range(2):
+            np.testing.assert_allclose(batched[i], L.lstm_forward(t(xb[i]), p).data,
+                                       atol=1e-12)
+            np.testing.assert_allclose(batched[i], unrolled(xb[i]), atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         t_len, in_dim, h_dim = 4, 2, 3
-        x0 = rng.standard_normal((t_len, in_dim))
+        x_single = rng.standard_normal((t_len, in_dim))
         p = lstm_params(rng, in_dim, h_dim, 2, rg=True)
-        mix = rng.standard_normal((t_len, h_dim))
+        mix_single = rng.standard_normal((t_len, h_dim))
         flat_params = [a for layer in p.layers for a in layer]
-
-        def run(arrays, x):
-            q = L.LstmParams([(Tensor(arrays[3 * i]), Tensor(arrays[3 * i + 1]),
-                               Tensor(arrays[3 * i + 2])) for i in range(2)])
-            return float((L.lstm_forward(Tensor(x), q).data * mix).sum())
-
-        xt = t(x0, True)
-        backward((L.lstm_forward(xt, p) * Tensor(mix)).sum())
-
         base = [a.data.copy() for a in flat_params]
-        assert rel_grad_error(xt.grad, finite_difference_grad(
-            lambda x: run(base, x), x0)) < 1e-4
-        for idx, param in enumerate(flat_params):
-            def f(arr, idx=idx):
-                arrays = [a.copy() for a in base]
-                arrays[idx] = arr
-                return run(arrays, x0)
+        # one sequence, then a batch of two distinct sequences stepped together
+        cases = [(x_single, mix_single),
+                 (rng.standard_normal((2, t_len, in_dim)),
+                  rng.standard_normal((2, t_len, h_dim)))]
+        for x0, mix in cases:
+            def run(arrays, x, mix=mix):
+                q = L.LstmParams([(Tensor(arrays[3 * i]), Tensor(arrays[3 * i + 1]),
+                                   Tensor(arrays[3 * i + 2])) for i in range(2)])
+                return float((L.lstm_forward(Tensor(x), q).data * mix).sum())
 
-            num = finite_difference_grad(f, base[idx])
-            assert rel_grad_error(param.grad, num) < 1e-4, f"param {idx}"
+            for a in flat_params:
+                a.grad = None
+            xt = t(x0, True)
+            backward((L.lstm_forward(xt, p) * Tensor(mix)).sum())
+
+            assert rel_grad_error(xt.grad, finite_difference_grad(
+                lambda x: run(base, x), x0)) < 1e-4
+            for idx, param in enumerate(flat_params):
+                def f(arr, idx=idx, x0=x0, run=run):
+                    arrays = [a.copy() for a in base]
+                    arrays[idx] = arr
+                    return run(arrays, x0)
+
+                num = finite_difference_grad(f, base[idx])
+                assert rel_grad_error(param.grad, num) < 1e-4, f"param {idx}, {x0.shape}"
 
 
 def test_uniform_init_bounds_and_determinism():

@@ -7,6 +7,7 @@ from hdrs import model as M
 from hdrs import tensor as T
 from hdrs.checkpoint import Corrupt, FormatVersionMismatch, load_container, save_container
 from hdrs.dsp import downsample_4x
+from hdrs.loss import loss_total
 from hdrs.tensor import Tensor, backward
 from oracles import finite_difference_grad, rel_grad_error
 
@@ -251,6 +252,38 @@ class TestForward:
         assert trace.mask.shape == trace.y_up.shape
         assert trace.refined.shape == trace.y_up.shape
         assert trace.w.shape == trace.y_up.shape
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("w_override", [0.5, None])
+    def test_batch_equals_mean_of_items(self, w_override):
+        """One [2, N] forward and backward equals the mean of the two per-item
+        runs: the loss and every parameter gradient, in float32 as trained.
+        The gradient tolerance is 1e-5 of each tensor's largest entry, since
+        float32 sums cancel on its near-zero entries."""
+        cfg = tiny_cfg(hidden=4, depth=3)
+        rng = np.random.default_rng(40)
+        t = np.arange(4000) / 16000
+        clean = np.stack([0.3 * np.sin(2 * np.pi * 220 * t),
+                          0.2 * np.sin(2 * np.pi * 330 * t) + 0.1 * np.sin(2 * np.pi * 95 * t)])
+        dist = (clean + 0.1 * rng.standard_normal(clean.shape)).astype(np.float32)
+        clean = clean.astype(np.float32)
+
+        def run(y, x):
+            params = M.init_params(cfg, 41, np.float32)
+            trace = M.forward(y, params, cfg, w_override=w_override)
+            rep = loss_total(Tensor(x), trace.x_hat)
+            backward(rep.tensor)
+            return rep.total, {k: np.zeros_like(p.data) if p.grad is None else p.grad
+                               for k, p in params.items()}
+
+        total, grads = run(dist, clean)
+        items = [run(dist[i], clean[i]) for i in range(2)]
+        assert total == pytest.approx((items[0][0] + items[1][0]) / 2, rel=1e-5)
+        for k, g in grads.items():
+            want = (items[0][1][k] + items[1][1][k]) / 2
+            np.testing.assert_allclose(g, want, rtol=1e-5,
+                                       atol=1e-5 * float(np.max(np.abs(want))), err_msg=k)
 
 
 class TestFuse:
