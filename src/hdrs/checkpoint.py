@@ -13,6 +13,7 @@ go to a temp file in the target directory followed by an atomic rename.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -61,41 +62,39 @@ def load_container(path):
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise Corrupt(f"{path}: not a checkpoint container")
+    records = memoryview(blob)[:-4]  # every read stops short of the CRC trailer
     stored = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored:
+    if zlib.crc32(records) & 0xFFFFFFFF != stored:
         raise Corrupt(f"{path}: checksum mismatch (truncated or damaged)")
-    version = struct.unpack_from("<I", blob, 4)[0]
+    version = struct.unpack_from("<I", records, 4)[0]
     if version != FORMAT_VERSION:
         raise FormatVersionMismatch(f"{path}: format version {version}, "
                                     f"expected {FORMAT_VERSION}")
     pos = 8
-    (text_len,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    text = {}
-    for line in blob[pos:pos + text_len].decode("utf-8").splitlines():
-        k, _, v = line.partition("=")
-        text[k] = v
-    pos += text_len
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    arrays = {}
+    text, arrays = {}, {}
     try:
+        (text_len,) = struct.unpack_from("<I", records, pos)
+        pos += 4
+        for line in bytes(records[pos:pos + text_len]).decode("utf-8").splitlines():
+            k, _, v = line.partition("=")
+            text[k] = v
+        pos += text_len
+        (count,) = struct.unpack_from("<I", records, pos)
+        pos += 4
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<I", blob, pos)
+            (nlen,) = struct.unpack_from("<I", records, pos)
             pos += 4
-            name = blob[pos:pos + nlen].decode("utf-8")
+            name = bytes(records[pos:pos + nlen]).decode("utf-8")
             pos += nlen
-            (rank,) = struct.unpack_from("<I", blob, pos)
+            (rank,) = struct.unpack_from("<I", records, pos)
             pos += 4
-            dims = struct.unpack_from(f"<{rank}Q", blob, pos)
+            dims = struct.unpack_from(f"<{rank}Q", records, pos)
             pos += 8 * rank
-            nbytes = 4 * int(np.prod(dims)) if rank else 4
-            dims = tuple(int(d) for d in dims)
-            arr = np.frombuffer(blob[pos:pos + nbytes], dtype="<f4").reshape(dims)
-            if arr.size != int(np.prod(dims)):
+            size = math.prod(dims)
+            if pos + 4 * size > len(records):
                 raise Corrupt(f"{path}: array {name} truncated")
-            pos += nbytes
-            arrays[name] = arr.copy()
-    except struct.error as e:
+            arrays[name] = np.frombuffer(records, "<f4", size, pos).reshape(dims).copy()
+            pos += 4 * size
+    except (struct.error, UnicodeDecodeError) as e:
         raise Corrupt(f"{path}: malformed record ({e})") from None
     return text, arrays

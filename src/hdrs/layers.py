@@ -47,6 +47,11 @@ class LstmParams:
     layers: list
 
 
+# Bytes of one contiguous im2col block in conv1d: a few MiB stays cache-sized
+# and bounds the copy independently of the input length.
+_IM2COL_BYTES = 4 << 20
+
+
 def conv1d_length(length: int, kernel: int, stride: int, padding: int, dilation: int) -> int:
     span = dilation * (kernel - 1) + 1
     return (length + 2 * padding - span) // stride + 1
@@ -93,13 +98,19 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
     l_out = conv1d_length(length, k, p.stride, p.padding, p.dilation)
     xp = _pad_last(x.data, p.padding) if p.padding else x.data
     patches = _gather_patches(xp, k, p.stride, p.dilation, l_out)
-    flat = np.ascontiguousarray(patches).reshape(lead + (c_in * k, l_out))
     w2 = p.weight.data.reshape(c_out, c_in * k)
-    out = w2 @ flat
+    out = np.empty(lead + (c_out, l_out), dtype=np.result_type(w2, xp))
+    # im2col one block of output columns at a time, each copy at most _IM2COL_BYTES
+    step = max(1, _IM2COL_BYTES // (patches[..., :1].size * xp.itemsize))
+    for s in range(0, l_out, step):
+        e = min(s + step, l_out)
+        block = np.ascontiguousarray(patches[..., s:e]).reshape(lead + (c_in * k, e - s))
+        np.matmul(w2, block, out=out[..., s:e])
     if p.bias is not None:
-        out = out + p.bias.data[:, None]
+        out += p.bias.data[:, None]
 
     def backward(g):
+        flat = np.ascontiguousarray(patches).reshape(lead + (c_in * k, l_out))
         p.weight._accum(_unbroadcast(g @ flat.swapaxes(-1, -2), w2.shape)
                         .reshape(c_out, c_in, k))
         if p.bias is not None:
@@ -110,7 +121,7 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
         x._accum(gxp[..., p.padding:xp.shape[-1] - p.padding] if p.padding else gxp)
 
     parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
-    return Tensor._make(np.ascontiguousarray(out), parents, backward, "conv1d")
+    return Tensor._make(out, parents, backward, "conv1d")
 
 
 def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:

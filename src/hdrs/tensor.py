@@ -254,10 +254,15 @@ def log(a: Tensor) -> Tensor:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function of an array; exp only sees -|x|, so it never overflows."""
-    s = np.exp(-np.abs(x))
-    s = 1.0 / (1.0 + s)  # rebinding frees exp's result before np.where
-    return np.where(x >= 0, s, 1.0 - s)
+    """Logistic function of an array as 0.5*tanh(x/2) + 0.5, in one buffer.
+
+    tanh saturates instead of overflowing, so no input raises a warning.
+    """
+    s = np.multiply(x, 0.5, out=np.empty_like(x))  # out= keeps 0-d inputs arrays
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -277,11 +282,17 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+    """max(x, slope*x), which for a slope in [0, 1] is x where x > 0 and slope*x
+    elsewhere (bit for bit, signed zeros and NaN included; only slope 0 maps +inf
+    to NaN)."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope {slope} is outside [0, 1]")
     x = a.data
-    out_data = np.where(x > 0, x, x * x.dtype.type(slope))
+    s = x.dtype.type(slope)
+    out_data = np.maximum(x, x * s)
 
     def backward(g):
-        a._accum(g * np.where(x > 0, x.dtype.type(1.0), x.dtype.type(slope)))
+        a._accum(g * np.maximum(x > 0, s))
 
     return Tensor._make(out_data, (a,), backward, "leaky_relu")
 

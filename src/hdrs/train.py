@@ -170,11 +170,10 @@ def load_checkpoint(path):
     state = TrainState(step=int(text.get("state.step", "0")),
                        phase=text.get("state.phase", "warm"),
                        seed=int(text.get("state.seed", "0")))
-    for name in params:
-        state.m[name] = np.array(arrays.get(f"adam.m.{name}",
-                                            np.zeros_like(params[name].data)))
-        state.v[name] = np.array(arrays.get(f"adam.v.{name}",
-                                            np.zeros_like(params[name].data)))
+    for name, p in params.items():
+        for moments, key in ((state.m, f"adam.m.{name}"), (state.v, f"adam.v.{name}")):
+            # loaded arrays are owned copies, so they serve without another one
+            moments[name] = arrays[key] if key in arrays else np.zeros(p.shape, p.dtype)
     return params, state, model_cfg, train_cfg
 
 

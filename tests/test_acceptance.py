@@ -191,6 +191,7 @@ def test_criterion_6_distortion_simulator(tmp_path):
            f"{elapsed:.0f} s")
 
 
+@pytest.mark.slow
 def test_criterion_7_training_protocol(tmp_path):
     """Overfit drill: tiny model (H=4, depth=3) on four two-second subset-N
     clips for 2000 steps. Gates: step-2000 training loss below 30% of the

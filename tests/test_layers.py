@@ -30,23 +30,32 @@ class TestConv1d:
         out = L.conv1d(t(np.ones((1, 16))), p)
         np.testing.assert_allclose(out.data, np.full((1, 3), 8.0))
 
-    def test_matches_naive(self):
+    def test_matches_naive(self, monkeypatch):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 20))
         xb = rng.standard_normal((2, 3, 20))  # two distinct items
         w = rng.standard_normal((5, 3, 4))
         b = rng.standard_normal(5)
-        for stride, pad, dil in [(1, 0, 1), (2, 3, 1), (4, 2, 1), (1, 4, 3), (3, 5, 2)]:
-            p = conv_params(w, b, stride, pad, dil)
-            got = L.conv1d(t(x), p).data
-            np.testing.assert_allclose(got, naive_conv1d(x, w, b, stride, pad, dil),
-                                       atol=1e-12)
-            batched = L.conv1d(t(xb), p).data
-            for i in range(2):
-                np.testing.assert_allclose(batched[i], L.conv1d(t(xb[i]), p).data,
+        cases = [(1, 0, 1), (2, 3, 1), (4, 2, 1), (1, 4, 3), (3, 5, 2)]
+        # first in one im2col block per call, then in blocks of two float64
+        # columns of the unbatched [12, L'] im2col (one column batched)
+        for block_bytes in [None, 2 * 12 * 8]:
+            if block_bytes:
+                monkeypatch.setattr(L, "_IM2COL_BYTES", block_bytes)
+            for stride, pad, dil in cases:
+                if block_bytes:
+                    assert L.conv1d_length(20, 4, stride, pad, dil) >= 3 * 2
+                p = conv_params(w, b, stride, pad, dil)
+                got = L.conv1d(t(x), p).data
+                np.testing.assert_allclose(got, naive_conv1d(x, w, b, stride, pad, dil),
                                            atol=1e-12)
-                np.testing.assert_allclose(
-                    batched[i], naive_conv1d(xb[i], w, b, stride, pad, dil), atol=1e-12)
+                batched = L.conv1d(t(xb), p).data
+                for i in range(2):
+                    np.testing.assert_allclose(batched[i], L.conv1d(t(xb[i]), p).data,
+                                               atol=1e-12)
+                    np.testing.assert_allclose(
+                        batched[i], naive_conv1d(xb[i], w, b, stride, pad, dil),
+                        atol=1e-12)
 
     def test_too_short(self):
         p = conv_params(np.ones((1, 1, 8)), stride=4)

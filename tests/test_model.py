@@ -340,6 +340,18 @@ class TestCheckpointContainer:
         with pytest.raises(Corrupt):
             load_container(path)
 
+    def test_truncated_array_record_is_corrupt(self, tmp_path):
+        """A record that claims 10 floats but carries 3, under a valid CRC."""
+        import struct
+        import zlib
+        path = tmp_path / "short.ckpt"
+        body = b"HDRS" + struct.pack("<III", 1, 0, 1) + struct.pack("<I", 1) + b"w"
+        body += struct.pack("<IQ", 1, 10) + np.arange(3, dtype="<f4").tobytes()
+        body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        path.write_bytes(body)
+        with pytest.raises(Corrupt, match="truncated"):
+            load_container(path)
+
     def test_version_mismatch(self, tmp_path):
         import struct
         import zlib

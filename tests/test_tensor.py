@@ -21,8 +21,34 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert T.sigmoid(t(0.0)).item() == 0.5
 
+    def test_sigmoid_matches_float64_logistic(self):
+        x = np.linspace(-40.0, 40.0, 200001)
+        s = T.sigmoid(t(x)).data
+        np.testing.assert_allclose(s, 1.0 / (1.0 + np.exp(-x)), rtol=0, atol=1e-15)
+        assert np.all(np.diff(s) >= 0.0)
+
     def test_leaky_relu_negative(self):
         assert T.leaky_relu(t(-2.0), 0.01).item() == pytest.approx(-0.02)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_bit_equals_piecewise_form(self, dtype):
+        rng = np.random.default_rng(5)
+        x0 = rng.standard_normal(64).astype(dtype)
+        x0[:4] = [0.0, -0.0, np.nan, -np.nan]
+        g = rng.standard_normal(64).astype(dtype)
+        for slope in [0.0, 0.01, 0.1, 1.0]:
+            s = dtype(slope)
+            x = T.Tensor(x0, requires_grad=True)
+            y = T.leaky_relu(x, slope)
+            T.backward((y * T.Tensor(g)).sum())
+            np.testing.assert_array_equal(np.where(x0 > 0, x0, x0 * s).view(np.uint8),
+                                          y.data.view(np.uint8))
+            np.testing.assert_array_equal(g * np.where(x0 > 0, dtype(1.0), s), x.grad)
+
+    @pytest.mark.parametrize("slope", [-0.01, 1.5])
+    def test_leaky_relu_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError):
+            T.leaky_relu(t([1.0, -1.0]), slope)
 
     def test_shape_mismatch(self):
         with pytest.raises(T.ShapeMismatch):
