@@ -57,8 +57,12 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(data, rate)
 
 
-def write_wav(path, buf: AudioBuffer) -> None:
-    clipped = np.clip(np.asarray(buf.samples, dtype=np.float64), -1.0, 1.0)
+def write_wav(path, buf: AudioBuffer) -> int:
+    """Write 16-bit PCM; returns how many samples lay outside [-1, 1] and
+    were clipped."""
+    samples = np.asarray(buf.samples, dtype=np.float64)
+    n_clipped = int(np.count_nonzero(np.abs(samples) > 1.0))
+    clipped = np.clip(samples, -1.0, 1.0)
     ints = np.clip(np.rint(clipped * 32768.0), -32768, 32767).astype("<i2")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with wave.open(str(path), "wb") as w:
@@ -66,3 +70,4 @@ def write_wav(path, buf: AudioBuffer) -> None:
         w.setsampwidth(2)
         w.setframerate(buf.sample_rate)
         w.writeframes(ints.tobytes())
+    return n_clipped

@@ -23,6 +23,8 @@ import numpy as np
 
 MAGIC = b"HDRS"
 FORMAT_VERSION = 1
+# Bytes read per step of the CRC pass over a container file.
+_READ_CHUNK = 4 << 20
 
 
 class FormatVersionMismatch(ValueError):
@@ -57,44 +59,67 @@ def save_container(path, text: dict, arrays: dict) -> None:
     os.replace(tmp, path)
 
 
-def load_container(path):
-    """Return (text dict, ordered name->float32 array dict)."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:4] != MAGIC:
-        raise Corrupt(f"{path}: not a checkpoint container")
-    records = memoryview(blob)[:-4]  # every read stops short of the CRC trailer
-    stored = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(records) & 0xFFFFFFFF != stored:
-        raise Corrupt(f"{path}: checksum mismatch (truncated or damaged)")
-    version = struct.unpack_from("<I", records, 4)[0]
-    if version != FORMAT_VERSION:
-        raise FormatVersionMismatch(f"{path}: format version {version}, "
-                                    f"expected {FORMAT_VERSION}")
-    pos = 8
-    text, arrays = {}, {}
-    try:
-        (text_len,) = struct.unpack_from("<I", records, pos)
-        pos += 4
-        for line in bytes(records[pos:pos + text_len]).decode("utf-8").splitlines():
-            k, _, v = line.partition("=")
-            text[k] = v
-        pos += text_len
-        (count,) = struct.unpack_from("<I", records, pos)
-        pos += 4
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<I", records, pos)
-            pos += 4
-            name = bytes(records[pos:pos + nlen]).decode("utf-8")
-            pos += nlen
-            (rank,) = struct.unpack_from("<I", records, pos)
-            pos += 4
-            dims = struct.unpack_from(f"<{rank}Q", records, pos)
-            pos += 8 * rank
-            size = math.prod(dims)
-            if pos + 4 * size > len(records):
-                raise Corrupt(f"{path}: array {name} truncated")
-            arrays[name] = np.frombuffer(records, "<f4", size, pos).reshape(dims).copy()
-            pos += 4 * size
-    except (struct.error, UnicodeDecodeError) as e:
-        raise Corrupt(f"{path}: malformed record ({e})") from None
+def load_container(path, keep=None):
+    """Return (text dict, ordered name->float32 array dict).
+
+    ``keep``, if given, is a predicate on array names: the arrays it rejects
+    are covered by the CRC check but never copied out of the file.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < 12 or f.read(4) != MAGIC:
+            raise Corrupt(f"{path}: not a checkpoint container")
+        end = size - 4  # every record read stops short of the CRC trailer
+        buf = memoryview(bytearray(min(_READ_CHUNK, end)))
+        crc, pos = zlib.crc32(MAGIC), 4
+        while pos < end:
+            n = f.readinto(buf[:min(len(buf), end - pos)])
+            if not n:
+                raise Corrupt(f"{path}: file shrank while reading")
+            crc = zlib.crc32(buf[:n], crc)
+            pos += n
+        if crc & 0xFFFFFFFF != struct.unpack("<I", f.read(4))[0]:
+            raise Corrupt(f"{path}: checksum mismatch (truncated or damaged)")
+        f.seek(4)
+        version, text_len = struct.unpack("<II", f.read(8))
+        if version != FORMAT_VERSION:
+            raise FormatVersionMismatch(f"{path}: format version {version}, "
+                                        f"expected {FORMAT_VERSION}")
+        text, arrays = {}, {}
+        pos = 16 + text_len  # through the array count
+        try:
+            if pos > end:
+                raise Corrupt(f"{path}: malformed record (text runs past the records)")
+            for line in f.read(text_len).decode("utf-8").splitlines():
+                k, _, v = line.partition("=")
+                text[k] = v
+            (count,) = struct.unpack("<I", f.read(4))
+            for _ in range(count):
+                # each length is checked against the records before it is read
+                (nlen,) = struct.unpack("<I", f.read(4))
+                pos += 8 + nlen
+                if pos > end:
+                    raise Corrupt(f"{path}: malformed record (name runs past the records)")
+                head = f.read(nlen + 4)
+                name = head[:nlen].decode("utf-8")
+                (rank,) = struct.unpack_from("<I", head, nlen)
+                pos += 8 * rank
+                if pos > end:
+                    raise Corrupt(f"{path}: array {name} dims run past the records")
+                dims = struct.unpack(f"<{rank}Q", f.read(8 * rank))
+                nbytes = 4 * math.prod(dims)
+                if pos + nbytes > end:
+                    raise Corrupt(f"{path}: array {name} truncated")
+                if max(dims, default=0) > end:  # an empty array with an absurd axis
+                    raise Corrupt(f"{path}: array {name} has dims {dims}")
+                if keep is None or keep(name):
+                    arr = np.empty(dims, "<f4")
+                    if f.readinto(memoryview(arr.reshape(-1)).cast("B")) != nbytes:
+                        raise Corrupt(f"{path}: array {name} truncated")
+                    arrays[name] = arr
+                else:
+                    f.seek(nbytes, os.SEEK_CUR)
+                pos += nbytes
+        except (struct.error, UnicodeDecodeError) as e:
+            raise Corrupt(f"{path}: malformed record ({e})") from None
     return text, arrays

@@ -175,11 +175,13 @@ def _write_pgm(path, mag: np.ndarray) -> None:
         f.write(img.tobytes())
 
 
-def _dump_trace(out_dir: Path, stem: str, buf: AudioBuffer, trace) -> None:
-    sr = buf.sample_rate
+def _dump_trace(out_dir: Path, stem: str, buf: AudioBuffer, trace, factor: int) -> None:
+    # mask, w and refined run at the upsampled model rate, padded past the input
+    n_up = factor * len(buf)
     for name, sig in (("mask", trace.mask), ("w", trace.w), ("refined", trace.refined)):
         if sig is not None:
-            write_wav(out_dir / f"{stem}.{name}.wav", AudioBuffer(sig.data, sr))
+            write_wav(out_dir / f"{stem}.{name}.wav",
+                      AudioBuffer(sig.data[:n_up], factor * buf.sample_rate))
     pairs = [("in", np.asarray(buf.samples)), ("out", trace.x_hat.data)]
     for tag, sig in pairs:
         if len(sig) >= SPECTROGRAM_CFG.window_len:
@@ -188,7 +190,7 @@ def _dump_trace(out_dir: Path, stem: str, buf: AudioBuffer, trace) -> None:
 
 
 def cmd_restore(args) -> int:
-    params, _, model_cfg, _ = load_checkpoint(args.ckpt)
+    params, _, model_cfg, _ = load_checkpoint(args.ckpt, moments=False)
     src = Path(args.infile)
     files = sorted(src.glob("*.wav")) if src.is_dir() else [src]
     if not files or not files[0].exists():
@@ -207,15 +209,15 @@ def cmd_restore(args) -> int:
         except EmptyInput as e:
             print(f"error: {f}: {e}", file=sys.stderr)
             return EXIT_EMPTY
-        write_wav(out_dir / f.name, AudioBuffer(trace.x_hat.data, buf.sample_rate))
+        n_clipped = write_wav(out_dir / f.name, AudioBuffer(trace.x_hat.data, buf.sample_rate))
         if args.dump_trace:
-            _dump_trace(out_dir, f.stem, buf, trace)
-        print(f"restored {f.name} ({len(buf)} samples)")
+            _dump_trace(out_dir, f.stem, buf, trace, model_cfg.resample_factor)
+        print(f"restored {f.name} ({len(buf)} samples, {n_clipped} clipped)")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    params, _, model_cfg, _ = load_checkpoint(args.ckpt)
+    params, _, model_cfg, _ = load_checkpoint(args.ckpt, moments=False)
     subset = None if args.subset == "all" else args.subset
     report = evaluate(args.manifest, params, model_cfg, subset)
     write_report(args.report, report)

@@ -47,8 +47,9 @@ class LstmParams:
     layers: list
 
 
-# Bytes of one contiguous im2col block in conv1d: a few MiB stays cache-sized
-# and bounds the copy independently of the input length.
+# Bytes of one contiguous im2col block in conv1d, and of one block of tap
+# products in conv_transpose1d: a few MiB stays cache-sized and bounds the
+# temporary independently of the input length.
 _IM2COL_BYTES = 4 << 20
 
 
@@ -135,12 +136,21 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
         raise NegativeOutputLength(f"output length {l_out} for input {l_in}")
     l_full = (l_in - 1) * p.stride + p.dilation * (k - 1) + 1
     w2 = p.weight.data.reshape(c_in, c_out * k)
-    gp = (w2.T @ x.data).reshape(lead + (c_out, k, l_in))
     full = np.zeros(lead + (c_out, l_full), dtype=x.dtype)
-    _scatter_patches(full, gp, k, p.stride, p.dilation)
+    # scatter the tap products of one block of input columns at a time, each
+    # block at most _IM2COL_BYTES and never one lone column (BLAS would take
+    # its matrix-vector path and round differently); every output sample sums
+    # the same products whatever the blocks
+    step = max(2, _IM2COL_BYTES // (c_out * k * int(np.prod(lead)) * x.data.itemsize))
+    s = 0
+    while s < l_in:
+        e = l_in if l_in - s <= step + 1 else s + step
+        gp = (w2.T @ x.data[..., s:e]).reshape(lead + (c_out, k, e - s))
+        _scatter_patches(full[..., s * p.stride:], gp, k, p.stride, p.dilation)
+        s = e
     out = full[..., p.padding:l_full - p.padding] if p.padding else full
     if p.bias is not None:
-        out = out + p.bias.data[:, None]
+        out += p.bias.data[:, None]
 
     def backward(g):
         gfull = _pad_last(g, p.padding) if p.padding else g
@@ -153,7 +163,7 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
             p.bias._accum(_unbroadcast(g.sum(axis=-1), (c_out,)))
 
     parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
-    return Tensor._make(np.ascontiguousarray(out), parents, backward, "conv_transpose1d")
+    return Tensor._make(out, parents, backward, "conv_transpose1d")
 
 
 def glu(x: Tensor) -> Tensor:
@@ -163,10 +173,11 @@ def glu(x: Tensor) -> Tensor:
         raise OddChannels(f"GLU needs an even channel count, got {c}")
     half = c // 2
     a = x.data[..., :half, :]
-    gate = stable_sigmoid(x.data[..., half:, :])
-    out = a * gate
+    out = stable_sigmoid(x.data[..., half:, :])
+    out *= a
 
     def backward(g):
+        gate = stable_sigmoid(x.data[..., half:, :])  # recomputed, so no tape holds it
         gx = np.empty_like(x.data)
         gx[..., :half, :] = g * gate
         gx[..., half:, :] = g * a * gate * (1.0 - gate)

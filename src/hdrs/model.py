@@ -228,11 +228,15 @@ def encode(h: Tensor, params: dict, cfg: ModelConfig):
 def suppression_decode(bottleneck: Tensor, skips: list, params: dict, cfg: ModelConfig,
                        branch: str = "ds"):
     """Mask-emitting decoder; also returns each block's post-skip-sum input,
-    which is the signal handed to the refinement decoder."""
+    which is the signal handed to the refinement decoder.
+
+    Pops ``skips`` from the end as it reads them, so outside a recording tape
+    each skip is freed once its block has used it.
+    """
     h = bottleneck
     pre_inputs = []
     for i in range(cfg.depth):
-        h = h + skips[cfg.depth - 1 - i]
+        h = h + skips.pop()
         pre_inputs.append(h)
         h = glu(conv1d(h, _conv(params, f"{branch}.{i}.mix")))
         h = conv_transpose1d(h, _conv(params, f"{branch}.{i}.tconv", cfg.stride,
@@ -245,11 +249,12 @@ def refinement_decode(feeds: list, params: dict, cfg: ModelConfig,
                       branch: str = "dr", dilations=None) -> Tensor:
     """Waveform-synthesizing decoder (linear output). ``feeds[i]`` is added
     to the running signal before block i; feeds[0] already carries the
-    bottleneck."""
+    bottleneck. Pops ``feeds`` from the front as it reads them, so outside a
+    recording tape each feed is freed once its block has used it."""
     dilations = cfg.refinement_dilations if dilations is None else dilations
     h = None
     for i in range(cfg.depth):
-        h = feeds[i] if h is None else h + feeds[i]
+        h = feeds.pop(0) if h is None else h + feeds.pop(0)
         h = glu(conv1d(h, _conv(params, f"{branch}.{i}.mix")))
         d = dilations[i]
         h = conv_transpose1d(h, _conv(params, f"{branch}.{i}.tconv", cfg.stride,
@@ -302,10 +307,13 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) 
     h = T.reshape(y_up, y_up.shape[:-1] + (1, y_up.shape[-1]))
 
     bottleneck, skips = encode(h, params, cfg)
-    enc_feeds = [bottleneck + skips[-1]] + [skips[cfg.depth - 1 - i]
-                                            for i in range(1, cfg.depth)]
-    mask2 = refined2 = w2 = None
+    mask2 = refined2 = w2 = enc_feeds = None
     v = cfg.variant
+    if v in ("demucs_baseline", "refinement_only", "no_fusion_no_skip"):
+        # the decoders pop what they read, so the encoder-fed decoder gets its own list
+        enc_feeds = [bottleneck + skips[-1]] + skips[-2::-1]
+        if v != "no_fusion_no_skip":
+            skips.clear()  # no suppression decoder reads them
     if v == "demucs_baseline":
         out2 = refinement_decode(enc_feeds, params, cfg, "dec", (1,) * cfg.depth)
     elif v == "suppression_only":
@@ -318,6 +326,7 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) 
         mask2, pre_inputs = suppression_decode(bottleneck, skips, params, cfg)
         masked2 = h * mask2
         feeds = enc_feeds if v == "no_fusion_no_skip" else pre_inputs
+        del pre_inputs  # feeds alone holds them, and the decoder pops what it reads
         refined2 = refinement_decode(feeds, params, cfg)
         if v == "hd_demucs" and w_override is None:
             w2, out2 = fuse(refined2, masked2, params, cfg)

@@ -289,7 +289,8 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
         raise ValueError(f"leaky_relu slope {slope} is outside [0, 1]")
     x = a.data
     s = x.dtype.type(slope)
-    out_data = np.maximum(x, x * s)
+    out_data = np.multiply(x, s, out=np.empty_like(x))  # out= keeps 0-d inputs arrays
+    np.maximum(x, out_data, out=out_data)
 
     def backward(g):
         a._accum(g * np.maximum(x > 0, s))

@@ -158,10 +158,12 @@ def save_checkpoint(path, params: dict, state: TrainState,
     save_container(path, text, arrays)
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, moments: bool = True):
     """Returns (params, state, model_cfg, train_cfg); moments default to
-    zeros for inference-only checkpoints."""
-    text, arrays = load_container(path)
+    zeros for inference-only checkpoints. With ``moments=False`` the Adam
+    moments are not read and ``state.m``/``state.v`` stay empty."""
+    text, arrays = load_container(
+        path, None if moments else lambda name: not name.startswith("adam."))
     model_cfg = ModelConfig.from_text_dict(text)
     train_cfg = TrainConfig.from_text_dict(text)
     params = {}
@@ -170,10 +172,11 @@ def load_checkpoint(path):
     state = TrainState(step=int(text.get("state.step", "0")),
                        phase=text.get("state.phase", "warm"),
                        seed=int(text.get("state.seed", "0")))
-    for name, p in params.items():
-        for moments, key in ((state.m, f"adam.m.{name}"), (state.v, f"adam.v.{name}")):
-            # loaded arrays are owned copies, so they serve without another one
-            moments[name] = arrays[key] if key in arrays else np.zeros(p.shape, p.dtype)
+    if moments:
+        for name, p in params.items():
+            for store, key in ((state.m, f"adam.m.{name}"), (state.v, f"adam.v.{name}")):
+                # loaded arrays are owned copies, so they serve without another one
+                store[name] = arrays[key] if key in arrays else np.zeros(p.shape, p.dtype)
     return params, state, model_cfg, train_cfg
 
 

@@ -54,3 +54,12 @@ def test_rejects_stereo(tmp_path):
 def test_rejects_2d_samples():
     with pytest.raises(WavFormatError):
         AudioBuffer(np.zeros((2, 10)), 16000)
+
+
+def test_write_counts_clipped_samples(tmp_path):
+    x = np.array([0.0, 1.0, -1.0, 1.5, -2.0, 0.25, 1.0 + 1e-9, -0.5])
+    n = write_wav(tmp_path / "over.wav", AudioBuffer(x, 16000))
+    assert n == 3
+    assert write_wav(tmp_path / "in.wav", AudioBuffer(np.clip(x, -1, 1), 16000)) == 0
+    # counting leaves the written bytes as they were
+    assert (tmp_path / "over.wav").read_bytes() == (tmp_path / "in.wav").read_bytes()

@@ -126,7 +126,7 @@ class TestTrain:
 
 
 class TestRestore:
-    def test_batch_restores_mirrored_names(self, workspace, tmp_path):
+    def test_batch_restores_mirrored_names(self, workspace, tmp_path, capsys):
         out = tmp_path / "restored"
         assert main(["restore", "--ckpt", str(workspace / "run" / "final.ckpt"),
                      "--in", str(workspace / "clean"), "--out", str(out)]) == 0
@@ -135,6 +135,8 @@ class TestRestore:
         a = read_wav(workspace / "clean" / "clean00.wav")
         b = read_wav(out / "clean00.wav")
         assert len(a) == len(b)
+        lines = capsys.readouterr().out.splitlines()
+        assert f"restored clean00.wav ({len(a)} samples, 0 clipped)" in lines
 
     def test_dump_trace_mask_bounded(self, workspace, tmp_path):
         out = tmp_path / "traced"
@@ -145,6 +147,13 @@ class TestRestore:
         assert mask.min() >= 0.0 and mask.max() <= 1.0
         for suffix in ("w.wav", "refined.wav", "in.pgm", "out.pgm"):
             assert (out / f"clean00.{suffix}").exists()
+        # the branch signals run at the 4x model rate, trimmed to the input
+        n = len(read_wav(workspace / "clean" / "clean00.wav"))
+        assert n % 64  # the model pads this input, so the trim is exercised
+        for name in ("mask", "w", "refined"):
+            sig = read_wav(out / f"clean00.{name}.wav")
+            assert sig.sample_rate == 4 * 16000
+            assert len(sig) == 4 * n
         header = (out / "clean00.in.pgm").read_bytes()[:2]
         assert header == b"P5"
 
@@ -161,6 +170,21 @@ class TestRestore:
         write_wav(empty, AudioBuffer(np.zeros(0), 16000))
         assert main(["restore", "--ckpt", str(workspace / "run" / "final.ckpt"),
                      "--in", str(empty), "--out", str(tmp_path / "o")]) == 3
+
+    def test_moments_do_not_change_restored_bytes(self, workspace, tmp_path):
+        from hdrs.checkpoint import load_container, save_container
+        ckpt = workspace / "run" / "final.ckpt"
+        text, arrays = load_container(ckpt)
+        assert any(name.startswith("adam.") for name in arrays)
+        bare = tmp_path / "bare.ckpt"
+        save_container(bare, text, {k: v for k, v in arrays.items()
+                                    if not k.startswith("adam.")})
+        for tag, path in (("with", ckpt), ("without", bare)):
+            assert main(["restore", "--ckpt", str(path), "--in", str(workspace / "clean"),
+                         "--out", str(tmp_path / tag)]) == 0
+        for name in ("clean00.wav", "clean01.wav"):
+            assert ((tmp_path / "with" / name).read_bytes()
+                    == (tmp_path / "without" / name).read_bytes())
 
 
 class TestEvaluate:

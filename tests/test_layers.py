@@ -89,24 +89,41 @@ class TestConvTranspose1d:
         assert L.conv_transpose1d_length(3, 8, 4, 2, 1) == 12
         assert L.conv_transpose1d_length(3, 8, 4, 9, 3) == 12
 
-    def test_matches_naive(self):
+    def test_matches_naive(self, monkeypatch):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 6))
         xb = rng.standard_normal((2, 3, 6))  # two distinct items
         w = rng.standard_normal((3, 2, 8))
         b = rng.standard_normal(2)
-        for stride, pad, dil in [(4, 2, 1), (4, 9, 3), (1, 0, 1), (2, 1, 2)]:
-            p = conv_params(w, b, stride, pad, dil)
-            got = L.conv_transpose1d(t(x), p).data
-            np.testing.assert_allclose(
-                got, naive_conv_transpose1d(x, w, b, stride, pad, dil), atol=1e-12)
-            batched = L.conv_transpose1d(t(xb), p).data
-            for i in range(2):
-                np.testing.assert_allclose(batched[i], L.conv_transpose1d(t(xb[i]), p).data,
-                                           atol=1e-12)
+        cases = [(4, 2, 1), (4, 9, 3), (4, 30, 9), (1, 0, 1), (2, 1, 2)]
+        whole = {}
+        # first in one block of input columns per call, then in blocks of two
+        # float64 columns of the [16, L] tap products (the fewest columns a
+        # block takes, batched too), so every call spans at least three blocks
+        for block_bytes in [None, 2 * 16 * 8]:
+            if block_bytes:
+                monkeypatch.setattr(L, "_IM2COL_BYTES", block_bytes)
+                assert x.shape[-1] >= 3 * 2
+            for stride, pad, dil in cases:
+                p = conv_params(w, b, stride, pad, dil)
+                got = L.conv_transpose1d(t(x), p).data
                 np.testing.assert_allclose(
-                    batched[i], naive_conv_transpose1d(xb[i], w, b, stride, pad, dil),
-                    atol=1e-12)
+                    got, naive_conv_transpose1d(x, w, b, stride, pad, dil), atol=1e-12)
+                batched = L.conv_transpose1d(t(xb), p).data
+                for i in range(2):
+                    np.testing.assert_allclose(batched[i],
+                                               L.conv_transpose1d(t(xb[i]), p).data,
+                                               atol=1e-12)
+                    np.testing.assert_allclose(
+                        batched[i], naive_conv_transpose1d(xb[i], w, b, stride, pad, dil),
+                        atol=1e-12)
+                if not block_bytes:
+                    whole[stride, dil] = got, batched
+                elif stride == 4:
+                    # kernel 8, stride 4, odd dilation: each output sums two
+                    # products, so blocking keeps every bit
+                    np.testing.assert_array_equal(got, whole[stride, dil][0])
+                    np.testing.assert_array_equal(batched, whole[stride, dil][1])
 
     def test_negative_output_length(self):
         p = conv_params(np.ones((1, 1, 2)), stride=1, padding=5)
@@ -181,6 +198,14 @@ class TestGlu:
         xt = t(x0, True)
         backward((L.glu(xt) * Tensor(mix)).sum())
         assert rel_grad_error(xt.grad, finite_difference_grad(f, x0)) < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bytes_equal_gated_product(self, dtype):
+        x = np.random.default_rng(6).standard_normal((2, 6, 9)).astype(dtype)
+        got = L.glu(Tensor(x)).data
+        want = x[..., :3, :] * T.stable_sigmoid(x[..., 3:, :])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def lstm_params(rng, in_dim, h_dim, n_layers, rg=False, zero=False):
