@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, _unbroadcast, stable_sigmoid
+from .tensor import Tensor, _unbroadcast, grad_enabled, stable_sigmoid
 
 
 class InputTooShort(ValueError):
@@ -191,8 +191,8 @@ def _gate_views(gates: np.ndarray, h_dim: int) -> list:
     return [gates[..., k * h_dim:(k + 1) * h_dim] for k in range(4)]
 
 
-def lstm_forward(x: Tensor, p: LstmParams) -> Tensor:
-    """Stacked unidirectional LSTM over [..., T, in] -> [..., T, H], zero initial state.
+def lstm_forward(x: Tensor, p: LstmParams, state: list | None = None) -> Tensor:
+    """Stacked unidirectional LSTM over [..., T, in] -> [..., T, H].
 
     Leading axes are independent sequences, stepped together as the B rows
     of one [B, H] state. Implemented as a single fused op: the forward loop
@@ -200,22 +200,36 @@ def lstm_forward(x: Tensor, p: LstmParams) -> Tensor:
     without growing the tape with T nodes. Each step multiplies with w_hh on
     the left, so B=1 stays a matrix-vector product and at larger B one BLAS
     call beats B of them.
+
+    The initial state is zero unless ``state`` is given: a list, empty for a
+    zero state or holding one ``(h, c)`` pair of [B, H] arrays per layer,
+    that the call replaces with the final pairs, so one sequence can be
+    stepped through in consecutive calls. A carried state is refused under
+    a recording tape, whose BPTT backward assumes a zero initial state.
     """
+    if state is not None and grad_enabled():
+        raise ValueError("a carried LSTM state needs no_grad(); the backward assumes zero state")
     lead, t_len = x.shape[:-2], x.shape[-2]
     # time-major [T, B, in], so every step reads and writes contiguous rows
     seq = np.ascontiguousarray(np.swapaxes(x.data.reshape((-1,) + x.shape[-2:]), 0, 1))
     n_b = seq.shape[1]
-    caches = []
-    for (w_ih, w_hh, b) in p.layers:
+    caches, final = [], []
+    for layer, (w_ih, w_hh, b) in enumerate(p.layers):
         h_dim = w_hh.shape[1]
-        pre = (seq.reshape(t_len * n_b, -1) @ w_ih.data.T + b.data).reshape(
-            t_len, n_b, 4 * h_dim)
+        rows = seq.reshape(t_len * n_b, -1)
+        # a lone row would take BLAS's matrix-vector path, which rounds unlike
+        # the matrix product, so a one-step call is computed as two rows
+        pre = ((np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows) @ w_ih.data.T
+               + b.data)[:t_len * n_b].reshape(t_len, n_b, 4 * h_dim)
         gates = np.empty_like(pre)
         i, f, gc, o = _gate_views(gates, h_dim)
         cells = np.empty((t_len, n_b, h_dim), dtype=pre.dtype)
         outs = np.empty_like(cells)
-        h = np.zeros((n_b, h_dim), dtype=pre.dtype)
-        c = np.zeros((n_b, h_dim), dtype=pre.dtype)
+        if state:
+            h, c = state[layer]
+        else:
+            h = np.zeros((n_b, h_dim), dtype=pre.dtype)
+            c = np.zeros((n_b, h_dim), dtype=pre.dtype)
         w = w_hh.data
         for t in range(t_len):
             z = pre[t] + (w @ h.T).T
@@ -224,7 +238,11 @@ def lstm_forward(x: Tensor, p: LstmParams) -> Tensor:
             c = np.add(f[t] * c, i[t] * g_t, out=cells[t])
             h = np.multiply(o[t], np.tanh(c), out=outs[t])
         caches.append((seq, gates, cells, outs))
+        if state is not None:
+            final.append((h.copy(), c.copy()))  # copies: h and c view the step storage
         seq = outs
+    if state is not None:
+        state[:] = final
     out = np.ascontiguousarray(np.swapaxes(seq, 0, 1)).reshape(lead + (t_len, seq.shape[-1]))
 
     def backward(g):

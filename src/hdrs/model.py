@@ -35,6 +35,12 @@ VARIANTS = ("hd_demucs", "demucs_baseline", "no_fusion", "no_fusion_no_skip",
 
 STD_FLOOR = 1e-5
 
+# A no-grad forward runs an input longer than one window in windows, each
+# spanning this many bytes of a float32 activation with hidden_ch channels
+# (2.56 s at hidden_ch 48, 30.7 s at 4), which bounds the forward's working
+# set independently of the input length.
+_WINDOW_BYTES = 30 << 20
+
 
 class InvalidLength(ValueError):
     pass
@@ -203,11 +209,16 @@ def _conv(params, name, stride=1, padding=0, dilation=1) -> Conv1dParams:
                         stride, padding, dilation)
 
 
-def encode(h: Tensor, params: dict, cfg: ModelConfig):
+def encode(h: Tensor, params: dict, cfg: ModelConfig, carry: tuple | None = None):
     """Encoder stack plus residual LSTM bottleneck.
 
     Input is [..., 1, L_up] with L_up a multiple of stride**depth; returns
     the bottleneck [..., C, T] and the per-block skip outputs.
+
+    ``carry`` (no tape only) is ``(state, start, commit, stop)`` for one
+    window of a longer input: the LSTM steps from the carried ``state`` over
+    bottleneck frames [start, commit), which advances it, then on from a copy
+    over [commit, stop); frames outside [start, stop) get no LSTM output.
     """
     if h.shape[-1] % (cfg.stride ** cfg.depth):
         raise InvalidLength(
@@ -221,8 +232,17 @@ def encode(h: Tensor, params: dict, cfg: ModelConfig):
         skips.append(h)
     lstm = LstmParams([(params[f"lstm.{l}.w_ih"], params[f"lstm.{l}.w_hh"],
                         params[f"lstm.{l}.b"]) for l in range(cfg.lstm_layers)])
-    bottleneck = T.transpose(lstm_forward(T.transpose(h), lstm)) + h
-    return bottleneck, skips
+    seq = T.transpose(h)
+    if carry is None:
+        return T.transpose(lstm_forward(seq, lstm)) + h, skips
+    state, start, commit, stop = carry
+    parts = []
+    if commit > start:
+        parts.append(lstm_forward(T.narrow(seq, -2, start, commit - start), lstm, state))
+    if stop > commit:
+        parts.append(lstm_forward(T.narrow(seq, -2, commit, stop - commit), lstm, list(state)))
+    out = T.pad_axis(T.concat(parts, axis=-2), -2, start, seq.shape[-2] - stop)
+    return T.transpose(out) + h, skips
 
 
 def suppression_decode(bottleneck: Tensor, skips: list, params: dict, cfg: ModelConfig,
@@ -274,39 +294,37 @@ def fuse(refined: Tensor, masked: Tensor, params: dict, cfg: ModelConfig):
     return w, x_hat_up
 
 
-def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) -> ForwardTrace:
-    """Full restoration pass over a waveform [N] or a batch [B, N] of equal
-    length; output length always equals input length.
+def halo_frames(cfg: ModelConfig) -> tuple:
+    """(enc, dec), in bottleneck frames of stride**depth upsampled samples.
 
-    Every item is normalized by its own standard deviation. ``w_override``
-    pins the fusion weight to a constant (the warm training phase runs the
-    full model with w=0.5 and the fusion stack detached).
+    ``enc``: frames at either end of an input slice whose bottleneck value
+    the encoder's zero padding changes. Bottleneck frame j reads samples
+    f*j - p*g through f*j + (kernel-1-p)*g, g = 1 + stride + ... +
+    stride**(depth-1), so ceil(p*g/f) frames at the start and
+    floor((kernel-1-p)*g/f) at the end reach past the slice.
+    ``dec``: bottleneck frames beyond either end of a window that the
+    decoders and the fusion stack read for its output, found by walking
+    the window's first and last sample back through the widest decoder.
     """
-    if isinstance(y, AudioBuffer):
-        if y.sample_rate != cfg.sample_rate:
-            raise SampleRateMismatch(
-                f"input at {y.sample_rate} Hz, model expects {cfg.sample_rate} Hz")
-        y = y.samples
-    if isinstance(y, Tensor):
-        x = y
-    else:
-        dtype = next(iter(params.values())).dtype
-        x = Tensor(np.asarray(y), dtype=dtype)
-    n = x.shape[-1]
-    if n == 0:
-        raise EmptyInput("empty waveform")
+    s, k, p = cfg.stride, cfg.kernel, cfg.enc_padding
+    f = s ** cfg.depth
+    g = (f - 1) // (s - 1)
+    enc = max(-(-p * g // f), (k - 1 - p) * g // f)
+    reach = 3 if cfg.variant == "hd_demucs" else 0  # three kernel-3 fusion convs
+    # samples read for a window starting at sample 0, and one ending before it
+    first, last = -reach, reach - 1
+    for i in reversed(range(cfg.depth)):
+        d = max(dil[i] for _, dil in _branches(cfg))
+        pad = cfg.tconv_padding(d)
+        first = -((d * (k - 1) - pad - first) // s)
+        last = (last + pad) // s
+    return enc, max(-first, last + 1)
 
-    sigma = T.std(x, -1, keepdims=True)
-    xn = x / (sigma + STD_FLOOR)
-    mult = cfg.stride ** cfg.depth
-    pad = (-n) % mult
-    if pad:
-        xn = T.pad_axis(xn, -1, 0, pad)
-    y_up = upsample_4x(xn)
-    # one input channel: [..., L_up] -> [..., 1, L_up]
-    h = T.reshape(y_up, y_up.shape[:-1] + (1, y_up.shape[-1]))
 
-    bottleneck, skips = encode(h, params, cfg)
+def _core(h: Tensor, params: dict, cfg: ModelConfig, w_override, carry=None) -> tuple:
+    """Encoder, LSTM, decoders and fusion over an upsampled [..., 1, L_up]
+    input; returns (x_hat_up, mask, refined, w), each [..., 1, L_up] or None."""
+    bottleneck, skips = encode(h, params, cfg, carry)
     mask2 = refined2 = w2 = enc_feeds = None
     v = cfg.variant
     if v in ("demucs_baseline", "refinement_only", "no_fusion_no_skip"):
@@ -333,6 +351,78 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) 
         else:
             wc = 0.5 if w_override is None else float(w_override)
             out2 = wc * refined2 + (1.0 - wc) * masked2
+    return out2, mask2, refined2, w2
+
+
+def _windowed_core(h: Tensor, params: dict, cfg: ModelConfig, w_override, window: int) -> tuple:
+    """``_core`` run window by window with the LSTM state carried across,
+    each window's slice widened by a halo; returns the cores stitched."""
+    f = cfg.stride ** cfg.depth
+    total = h.shape[-1] // f
+    enc, dec = halo_frames(cfg)
+    state, stitched = [], None
+    for a in range(0, total, window):
+        b = min(a + window, total)
+        # The decoders read the bottleneck on [a - dec, b + dec), so the LSTM
+        # runs there, but its carried state advances only to b - dec, where
+        # the next window's run starts. The slice reaches enc frames further,
+        # so the encoder's zero padding at its ends never reaches that span.
+        lo, hi = max(a - enc - dec, 0), min(b + enc + dec, total)
+        carry = (state, max(a - dec, 0) - lo, max(b - dec, 0) - lo, min(b + dec, total) - lo)
+        outs = _core(T.narrow(h, -1, lo * f, (hi - lo) * f), params, cfg, w_override, carry)
+        if stitched is None:
+            stitched = [None if o is None else np.empty(h.shape, o.dtype) for o in outs]
+        for full, o in zip(stitched, outs):
+            if o is not None:
+                full[..., a * f:b * f] = o.data[..., (a - lo) * f:(b - lo) * f]
+    return tuple(None if full is None else Tensor(full) for full in stitched)
+
+
+def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) -> ForwardTrace:
+    """Full restoration pass over a waveform [N] or a batch [B, N] of equal
+    length; output length always equals input length.
+
+    Every item is normalized by its own standard deviation. ``w_override``
+    pins the fusion weight to a constant (the warm training phase runs the
+    full model with w=0.5 and the fusion stack detached).
+
+    Under ``no_grad()`` an input longer than one window (``_WINDOW_BYTES``)
+    runs in consecutive windows of whole bottleneck frames. Each window's slice
+    of the upsampled input reaches ``sum(halo_frames)`` frames past its
+    ends, and the LSTM carries its state from one window to the next, so
+    the output matches the one-pass output up to rounding. Resampling and
+    normalisation stay whole-file. A recording forward runs in one pass.
+    """
+    if isinstance(y, AudioBuffer):
+        if y.sample_rate != cfg.sample_rate:
+            raise SampleRateMismatch(
+                f"input at {y.sample_rate} Hz, model expects {cfg.sample_rate} Hz")
+        y = y.samples
+    if isinstance(y, Tensor):
+        x = y
+    else:
+        dtype = next(iter(params.values())).dtype
+        x = Tensor(np.asarray(y), dtype=dtype)
+    n = x.shape[-1]
+    if n == 0:
+        raise EmptyInput("empty waveform")
+
+    sigma = T.std(x, -1, keepdims=True)
+    xn = x / (sigma + STD_FLOOR)
+    mult = cfg.stride ** cfg.depth
+    pad = (-n) % mult
+    if pad:
+        xn = T.pad_axis(xn, -1, 0, pad)
+    y_up = upsample_4x(xn)
+    # one input channel: [..., L_up] -> [..., 1, L_up]
+    h = T.reshape(y_up, y_up.shape[:-1] + (1, y_up.shape[-1]))
+
+    # in bottleneck frames, each of mult upsampled samples
+    window = max(1, _WINDOW_BYTES // (4 * cfg.hidden_ch * mult))
+    if T.grad_enabled() or h.shape[-1] <= window * mult:
+        out2, mask2, refined2, w2 = _core(h, params, cfg, w_override)
+    else:
+        out2, mask2, refined2, w2 = _windowed_core(h, params, cfg, w_override, window)
 
     x_hat_up = T.reshape(out2, y_up.shape)
     x_hat = T.narrow(downsample_4x(x_hat_up), -1, 0, n) * sigma

@@ -56,6 +56,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops may record onto a tape (False inside :func:`no_grad`)."""
+    return _grad_enabled
+
+
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 

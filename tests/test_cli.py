@@ -157,6 +157,35 @@ class TestRestore:
         header = (out / "clean00.in.pgm").read_bytes()[:2]
         assert header == b"P5"
 
+    def test_dump_trace_in_windows_matches_one_pass(self, workspace, tmp_path, monkeypatch):
+        """A restore run in 4 windows (monkeypatched small) writes the same
+        restored, mask, w and refined WAVs, at the same lengths, as one pass:
+        within 1e-15 of each signal's peak, which 16-bit samples only meet by
+        being equal."""
+        from hdrs import model
+        from hdrs.audio import AudioBuffer, write_wav
+        clip = read_wav(workspace / "clean" / "clean00.wav")
+        n = len(clip) - 1  # not a multiple of the model's 16-sample pad
+        src = tmp_path / "odd.wav"
+        write_wav(src, AudioBuffer(clip.samples[:n], clip.sample_rate))
+        calls = []
+        encode = model.encode
+        monkeypatch.setattr(model, "encode", lambda *a: calls.append(1) or encode(*a))
+        ckpt = str(workspace / "run" / "final.ckpt")
+        # the padded input is 1000 frames of 16 upsampled samples (depth 2)
+        for tag, window, windows in (("one", 1000, 1), ("windows", 250, 4)):
+            monkeypatch.setattr(model, "_WINDOW_BYTES", window * 4 * 2 * 16)
+            calls.clear()
+            assert main(["restore", "--ckpt", ckpt, "--in", str(src),
+                         "--out", str(tmp_path / tag), "--dump-trace"]) == 0
+            assert len(calls) == windows
+        for name, length in (("wav", n), ("mask.wav", 4 * n), ("w.wav", 4 * n),
+                             ("refined.wav", 4 * n)):
+            one, windowed = (read_wav(tmp_path / tag / f"odd.{name}").samples
+                             for tag in ("one", "windows"))
+            assert len(one) == len(windowed) == length, name
+            assert np.max(np.abs(one - windowed)) <= 1e-15 * np.max(np.abs(one)), name
+
     def test_sample_rate_mismatch_exits_5(self, workspace, tmp_path):
         from hdrs.audio import AudioBuffer, write_wav
         wrong = tmp_path / "wrong.wav"

@@ -277,6 +277,33 @@ class TestLstm:
                                        atol=1e-12)
             np.testing.assert_allclose(batched[i], unrolled(xb[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_carried_state_splits_a_sequence_exactly(self, dtype, lead):
+        """Stepping a sequence in two calls that carry the state is bit-equal
+        to one call, at every split point (one-step calls included)."""
+        rng = np.random.default_rng(10)
+        p = lstm_params(rng, 3, 5, 2)
+        p = L.LstmParams([tuple(Tensor(a.data.astype(dtype)) for a in layer)
+                          for layer in p.layers])
+        x = rng.standard_normal(lead + (7, 3)).astype(dtype)
+        with T.no_grad():
+            whole = L.lstm_forward(Tensor(x), p).data
+            for cut in range(1, 7):
+                state = []
+                head = L.lstm_forward(Tensor(x[..., :cut, :]), p, state)
+                assert len(state) == 2 and state[0][0].shape == (int(np.prod(lead)), 5)
+                tail = L.lstm_forward(Tensor(x[..., cut:, :]), p, state)
+                split = np.concatenate([head.data, tail.data], axis=-2)
+                assert split.dtype == dtype
+                assert split.tobytes() == whole.tobytes(), cut
+
+    def test_carried_state_refused_on_a_recording_tape(self):
+        rng = np.random.default_rng(11)
+        p = lstm_params(rng, 3, 4, 1, rg=True)
+        with pytest.raises(ValueError, match="no_grad"):
+            L.lstm_forward(t(rng.standard_normal((4, 3)), True), p, [])
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         t_len, in_dim, h_dim = 4, 2, 3

@@ -307,6 +307,30 @@ class TestInferenceMemory:
                 tracemalloc.stop()
         assert peak / 2**20 < self.PEAK_BOUND_MB
 
+    def test_no_grad_forward_peak_flat_in_windows(self, monkeypatch):
+        """Over 8 windows the traced heap peak exceeds the 2-window peak by at
+        most the stitched output arrays (x_hat_up, mask, refined, w) plus 10%
+        of that peak: the window's working set does not grow with the input.
+        In one pass it grows about 4x (12.3 -> 33.8 MB at numpy 2.4)."""
+        import tracemalloc
+        cfg = tiny_cfg(hidden=8, depth=3)
+        params = M.init_params(cfg, 0)
+        frames = 250  # of 64 upsampled samples: 4000 input samples a window
+        monkeypatch.setattr(M, "_WINDOW_BYTES", frames * 4 * cfg.hidden_ch * 64, raising=False)
+
+        def peak(n):
+            y = np.random.default_rng(40).standard_normal(n).astype(np.float32) * 0.1
+            with T.no_grad():
+                tracemalloc.start()
+                try:
+                    M.forward(y, params, cfg)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        stitched = 4 * (4 * 32000) * 4  # four float32 arrays at the 4x rate
+        assert peak(32000) <= 1.1 * peak(8000) + stitched
+
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_no_grad_and_recording_outputs_byte_equal(self, variant):
         cfg = tiny_cfg(variant)
@@ -317,6 +341,56 @@ class TestInferenceMemory:
         recorded = M.forward(y, params, cfg).x_hat
         assert recorded._parents
         assert quiet.data.tobytes() == recorded.data.tobytes()
+
+
+class TestWindowedForward:
+    """A no-grad forward run in several windows against the same forward in
+    one window, in float64: every output array within 1e-15 of its peak."""
+    # Depth-3 frames are 16 input samples, and inputs are padded to whole
+    # multiples of 4 frames. With 7-frame windows, 448 samples are exactly 4
+    # windows, 449 samples add a fifth window of 4 frames, and 576 samples end
+    # in a window of 1 frame, shorter than every variant's halo.
+    WINDOW = 7
+    LENGTHS = {448: 4, 449: 5, 576: 6}
+
+    @pytest.mark.parametrize("w_override", [None, 0.5])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_windows_match_one_pass(self, monkeypatch, variant, lead, w_override):
+        cfg = tiny_cfg(variant)
+        params = M.init_params(cfg, 43, np.float64)
+        assert sum(M.halo_frames(cfg)) > 1
+        calls = []
+        encode = M.encode
+        monkeypatch.setattr(M, "encode", lambda *a: calls.append(1) or encode(*a))
+        rng = np.random.default_rng(44)
+        for n, windows in self.LENGTHS.items():
+            y = rng.standard_normal(lead + (n,)) * 0.3
+            traces = []
+            for frames in (10**6, self.WINDOW):
+                monkeypatch.setattr(M, "_WINDOW_BYTES", frames * 4 * cfg.hidden_ch * 64)
+                calls.clear()
+                with T.no_grad():
+                    traces.append(M.forward(y, params, cfg, w_override=w_override))
+                assert len(calls) == (1 if frames > self.WINDOW else windows)
+            one, windowed = traces
+            for name in ("x_hat", "x_hat_up", "mask", "refined", "w"):
+                a, b = getattr(one, name), getattr(windowed, name)
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    assert a.shape == b.shape, name
+                    err = np.max(np.abs(a.data - b.data))
+                    assert err <= 1e-15 * np.max(np.abs(a.data)), (name, n, err)
+
+    def test_recording_forward_runs_in_one_pass(self, monkeypatch):
+        cfg = tiny_cfg()
+        params = M.init_params(cfg, 45, np.float64)
+        monkeypatch.setattr(M, "_WINDOW_BYTES", self.WINDOW * 4 * cfg.hidden_ch * 64)
+        calls = []
+        encode = M.encode
+        monkeypatch.setattr(M, "encode", lambda *a: calls.append(1) or encode(*a))
+        M.forward(np.random.default_rng(46).standard_normal(576), params, cfg)
+        assert len(calls) == 1
 
 
 class TestFuse:
