@@ -4,6 +4,11 @@ Power-of-two FFTs (computed by ``numpy.fft``), short-time magnitude
 spectra (differentiable through to the waveform), Butterworth biquad design
 via bilinear transform with cutoff prewarping, zero-state IIR filtering,
 factor-4 windowed-sinc resampling, and linear convolution.
+
+IIR filtering is block-parallel: each biquad section is run as a 2-state
+system over 128-sample blocks, with matrix products inside each block and a
+short recurrence carrying the state between blocks. It matches sequential
+per-sample filtering within 1e-10 x the output peak.
 """
 
 from __future__ import annotations
@@ -215,24 +220,69 @@ def frequency_response(cascade: BiquadCascade, freqs_hz) -> np.ndarray:
     return h
 
 
+# Samples per block in filter_apply. On a 3 s clip through order-8 filters
+# (one BLAS thread), 64 ran about as fast and 256 about 1.4x slower.
+_FILTER_BLOCK = 128
+
+
+def _section_blocks(b0, b1, b2, a1, a2, m: int):
+    """Block matrices of one DF2T biquad over m-sample blocks.
+
+    The section is the 2-state system s[n+1] = A s[n] + B x[n],
+    y[n] = C s[n] + D x[n] with A = [[-a1, 1], [-a2, 0]],
+    B = [b1 - a1 b0, b2 - a2 b0], C = [1, 0], D = b0. Returns the
+    upper-triangular Toeplitz matrix of impulse-response taps [m, m], the
+    input-to-end-state map [m, 2], the start-state-to-output map C A^j
+    [2, m], and A^m.
+    """
+    a = np.array([[-a1, 1.0], [-a2, 0.0]])
+    powers = np.empty((m + 1, 2, 2))  # A^0 .. A^m, by doubling
+    powers[0] = np.eye(2)
+    powers[1] = a
+    k = 1
+    while k < m:
+        step = min(k, m - k)
+        powers[k + 1:k + 1 + step] = powers[1:1 + step] @ powers[k]
+        k += step
+    ab = powers[:m] @ np.array([b1 - a1 * b0, b2 - a2 * b0])  # A^j B
+    taps = np.empty(m)
+    taps[0] = b0
+    taps[1:] = ab[:m - 1, 0]
+    lag = np.arange(m)
+    toeplitz = np.triu(taps[np.abs(lag[None, :] - lag[:, None])])
+    return toeplitz, ab[::-1], powers[:m, 0, :].T, powers[m]
+
+
 def filter_apply(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
-    """Zero-initial-state direct-form-II-transposed filtering."""
+    """Zero-initial-state direct-form-II-transposed filtering.
+
+    Each section runs block-parallel (Burrus 1972): the signal is cut into
+    ``_FILTER_BLOCK``-sample blocks, each block's zero-state response and end
+    state are matrix products, and a recurrence over blocks carries the state
+    across block boundaries. The output matches sequential per-sample
+    filtering within 1e-10 x its peak (at most 7e-12 measured on order-8
+    filters down to a 10 Hz highpass).
+    """
     if cascade.sample_rate and buf.sample_rate != cascade.sample_rate:
         raise ValueError(
             f"sample rate {buf.sample_rate} != filter design rate {cascade.sample_rate}")
-    y = [float(v) for v in buf.samples]
-    for b0, b1, b2, a1, a2 in cascade.sections:
-        s1 = 0.0
-        s2 = 0.0
-        out = []
-        append = out.append
-        for xn in y:
-            yn = b0 * xn + s1
-            s1 = b1 * xn - a1 * yn + s2
-            s2 = b2 * xn - a2 * yn
-            append(yn)
-        y = out
-    return AudioBuffer(np.asarray(y, dtype=np.asarray(buf.samples).dtype), buf.sample_rate)
+    x = np.asarray(buf.samples)
+    n = len(x)
+    m = _FILTER_BLOCK
+    n_blocks = -(-n // m)
+    y = np.zeros(n_blocks * m)
+    y[:n] = x
+    for section in cascade.sections:
+        toeplitz, to_state, from_state, a_m = _section_blocks(*section, m)
+        blocks = y.reshape(n_blocks, m)
+        (p, q), (r, t) = a_m.tolist()
+        s1 = s2 = 0.0
+        starts = []
+        for e1, e2 in (blocks @ to_state).tolist():
+            starts.append((s1, s2))
+            s1, s2 = p * s1 + q * s2 + e1, r * s1 + t * s2 + e2
+        y = (blocks @ toeplitz + np.array(starts).reshape(n_blocks, 2) @ from_state).ravel()
+    return AudioBuffer(y[:n].astype(x.dtype), buf.sample_rate)
 
 
 # -- factor-4 resampling ----------------------------------------------------------

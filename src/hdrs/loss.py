@@ -73,9 +73,13 @@ def loss_mag(mag_ref: Tensor, mag_est: Tensor) -> Tensor:
                             (-2, -1)))
 
 
-def loss_freq(x: Tensor, x_hat: Tensor,
-              resolutions=STFT_RESOLUTIONS) -> tuple[Tensor, list, list]:
-    """Multi-resolution spectral loss; returns (total, sc terms, mag terms)."""
+def loss_freq(x: Tensor, x_hat: Tensor, resolutions=STFT_RESOLUTIONS,
+              mags_ref=None) -> tuple[Tensor, list, list]:
+    """Multi-resolution spectral loss; returns (total, sc terms, mag terms).
+
+    ``mags_ref``, when given, are x's magnitude spectra at ``resolutions``,
+    already computed; they are used in place of transforming x again.
+    """
     if x.shape != x_hat.shape:
         raise LengthMismatch(f"waveform shapes differ: {x.shape} vs {x_hat.shape}")
     longest = max(cfg.window_len for cfg in resolutions)
@@ -85,8 +89,8 @@ def loss_freq(x: Tensor, x_hat: Tensor,
     sc_terms = []
     mag_terms = []
     total = None
-    for cfg in resolutions:
-        mag_ref = stft_magnitude(x, cfg)
+    for i, cfg in enumerate(resolutions):
+        mag_ref = stft_magnitude(x, cfg) if mags_ref is None else mags_ref[i]
         mag_est = stft_magnitude(x_hat, cfg)
         sc = loss_sc(mag_ref, mag_est)
         mag = loss_mag(mag_ref, mag_est)

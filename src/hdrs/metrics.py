@@ -3,7 +3,9 @@
 SI-SDR projects the estimate onto the reference before the energy ratio, so
 it is invariant to positive rescaling of the estimate. Degenerate cases are
 capped at +-100 dB to keep subset aggregation finite. The spectral distance
-reuses the training-time multi-resolution criterion as a scorer.
+reuses the training-time multi-resolution criterion as a scorer; a
+reference's spectra are computed once and scored against several
+estimates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .audio import read_wav
-from .loss import LengthMismatch, loss_freq
+from .dsp import stft_magnitude
+from .loss import STFT_RESOLUTIONS, LengthMismatch, loss_freq
 from .model import ModelConfig, forward
 from .simulate import read_manifest
 from .tensor import Tensor
@@ -52,10 +55,27 @@ def si_sdr(ref, est) -> float:
 def mr_spectral_distance(ref, est) -> float:
     """Multi-resolution spectral distance (same form as the training
     frequency criterion), evaluated without recording gradients."""
+    return mr_spectral_distances(ref, [est])[0]
+
+
+def mr_spectral_distances(ref, ests) -> list:
+    """``mr_spectral_distance`` of each estimate against one reference.
+
+    Each of the reference's spectra is computed once, at its resolution, and
+    scored against every estimate before the next resolution, so one
+    reference spectrum is held at a time. The per-resolution terms add up
+    in the criterion's order, so each distance is bit-identical to its own
+    ``mr_spectral_distance`` call.
+    """
+    x = Tensor(np.asarray(ref, dtype=np.float64))
+    ests = [Tensor(np.asarray(e, dtype=np.float64)) for e in ests]
+    totals = [0.0] * len(ests)
     with T.no_grad():
-        total, _, _ = loss_freq(Tensor(np.asarray(ref, dtype=np.float64)),
-                                Tensor(np.asarray(est, dtype=np.float64)))
-    return total.item()
+        for cfg in STFT_RESOLUTIONS:
+            mag_ref = (stft_magnitude(x, cfg),)
+            for i, est in enumerate(ests):
+                totals[i] += loss_freq(x, est, (cfg,), mags_ref=mag_ref)[0].item()
+    return totals
 
 
 @dataclass
@@ -111,11 +131,11 @@ def evaluate(manifest_path, params: dict, cfg: ModelConfig,
         restored = restored.astype(np.float64)
         si_in = si_sdr(clean, dist)
         si_out = si_sdr(clean, restored)
+        mrsd_in, mrsd_out = mr_spectral_distances(clean, [dist, restored])
         rows.append(EvalRow(
             path=r.distorted_path, subset=r.subset,
             si_sdr_in=si_in, si_sdr_out=si_out, si_sdr_impr=si_out - si_in,
-            mrsd_in=mr_spectral_distance(clean, dist),
-            mrsd_out=mr_spectral_distance(clean, restored),
+            mrsd_in=mrsd_in, mrsd_out=mrsd_out,
         ))
     return EvalReport(rows)
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .audio import AudioBuffer
 from .dsp import (StftConfig, convolve_full, design_butterworth, downsample_4x,
-                  fft, frequency_response, upsample_4x)
+                  fft, filter_apply, frequency_response, upsample_4x)
 from .loss import loss_total
 from .metrics import si_sdr
 from .model import ModelConfig, count_params, forward, init_params
@@ -105,7 +106,8 @@ def _naive_conv(x, r):
 
 
 def dsp_suite(seed: int = 77):
-    """FFT, filter design, and resampler checks against naive references."""
+    """FFT, filter design, filtering and resampler checks against naive
+    references and analytic responses."""
     rng = np.random.default_rng(seed)
     results = []
 
@@ -122,6 +124,18 @@ def dsp_suite(seed: int = 77):
     mag_db = float(20 * np.log10(abs(frequency_response(casc, [2000.0])[0])))
     results.append((f"Butterworth cutoff point: {mag_db:.3f} dB",
                     abs(mag_db + 3.0103) <= 0.1))
+
+    # steady-state gain of filtered tones in the passband and past the
+    # cutoff (1 kHz alone is -0.012 dB, too near a filter that does nothing);
+    # each tail holds a whole number of periods
+    t = np.arange(16000) / 16000.0
+    for f in (1000.0, 3000.0):
+        tone = np.sin(2 * np.pi * f * t)
+        y = filter_apply(casc, AudioBuffer(tone, 16000)).samples
+        gain_db = float(10 * np.log10(np.mean(y[8000:] ** 2) / np.mean(tone[8000:] ** 2)))
+        want_db = float(20 * np.log10(abs(frequency_response(casc, [f])[0])))
+        results.append((f"filtered {f / 1000:g} kHz tone gain: {gain_db:.4f} dB "
+                        f"(response {want_db:.4f} dB)", abs(gain_db - want_db) <= 0.01))
 
     t = np.arange(4096) / 16000.0
     tone = np.sin(2 * np.pi * 1000.0 * t)

@@ -164,3 +164,20 @@ def ref_si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
     alpha = np.dot(est, ref) / np.dot(ref, ref)
     target = alpha * ref
     return 10 * np.log10(np.dot(target, target) / np.dot(est - target, est - target))
+
+
+def naive_biquad_cascade(sections, x: np.ndarray) -> np.ndarray:
+    """Sequential zero-state filtering through biquads (b0, b1, b2, a1, a2),
+    one sample at a time in direct form II transposed:
+    y[n] = b0 x[n] + s1, s1 <- b1 x[n] - a1 y[n] + s2, s2 <- b2 x[n] - a2 y[n]."""
+    y = [float(v) for v in x]
+    for b0, b1, b2, a1, a2 in sections:
+        s1 = s2 = 0.0
+        out = []
+        for xn in y:
+            yn = b0 * xn + s1
+            s1 = b1 * xn - a1 * yn + s2
+            s2 = b2 * xn - a2 * yn
+            out.append(yn)
+        y = out
+    return np.asarray(y, dtype=np.float64)

@@ -139,22 +139,30 @@ class TestRestore:
         assert f"restored clean00.wav ({len(a)} samples, 0 clipped)" in lines
 
     def test_dump_trace_mask_bounded(self, workspace, tmp_path):
+        from hdrs.audio import AudioBuffer, write_wav
+        from hdrs.train import load_checkpoint
+        ckpt = str(workspace / "run" / "final.ckpt")
+        _, _, cfg, _ = load_checkpoint(ckpt, moments=False)
+        clip = read_wav(workspace / "clean" / "clean00.wav")
+        n = len(clip) - 3
+        # the model pads this input, so the trim is exercised
+        assert n % cfg.stride ** cfg.depth
+        src = tmp_path / "odd.wav"
+        write_wav(src, AudioBuffer(clip.samples[:n], clip.sample_rate))
         out = tmp_path / "traced"
-        assert main(["restore", "--ckpt", str(workspace / "run" / "final.ckpt"),
-                     "--in", str(workspace / "clean" / "clean00.wav"),
+        assert main(["restore", "--ckpt", ckpt, "--in", str(src),
                      "--out", str(out), "--dump-trace"]) == 0
-        mask = read_wav(out / "clean00.mask.wav").samples
+        mask = read_wav(out / "odd.mask.wav").samples
         assert mask.min() >= 0.0 and mask.max() <= 1.0
         for suffix in ("w.wav", "refined.wav", "in.pgm", "out.pgm"):
-            assert (out / f"clean00.{suffix}").exists()
+            assert (out / f"odd.{suffix}").exists()
         # the branch signals run at the 4x model rate, trimmed to the input
-        n = len(read_wav(workspace / "clean" / "clean00.wav"))
-        assert n % 64  # the model pads this input, so the trim is exercised
+        assert len(read_wav(out / "odd.wav")) == n
         for name in ("mask", "w", "refined"):
-            sig = read_wav(out / f"clean00.{name}.wav")
+            sig = read_wav(out / f"odd.{name}.wav")
             assert sig.sample_rate == 4 * 16000
             assert len(sig) == 4 * n
-        header = (out / "clean00.in.pgm").read_bytes()[:2]
+        header = (out / "odd.in.pgm").read_bytes()[:2]
         assert header == b"P5"
 
     def test_dump_trace_in_windows_matches_one_pass(self, workspace, tmp_path, monkeypatch):

@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 from hdrs import dsp
 from hdrs.audio import AudioBuffer
 from hdrs.tensor import Tensor, backward
-from oracles import (LOSS_RESOLUTIONS, finite_difference_grad, naive_convolve_full,
-                     naive_dft, ref_si_sdr, ref_stft_input_grad, ref_stft_mag,
-                     rel_grad_error)
+from oracles import (LOSS_RESOLUTIONS, finite_difference_grad, naive_biquad_cascade,
+                     naive_convolve_full, naive_dft, ref_si_sdr, ref_stft_input_grad,
+                     ref_stft_mag, rel_grad_error)
 
 SR = 16000.0
+BLOCK = dsp._FILTER_BLOCK
+FILTER_GRID = ([(order, kind, fc) for order in (2, 4, 6, 8)
+                for kind, fc in (("lowpass", 4000.0), ("highpass", 300.0),
+                                 ("bandpass", (300.0, 3400.0)))]
+               + [(8, "lowpass", 100.0), (8, "lowpass", 7900.0), (8, "highpass", 10.0),
+                  (8, "bandpass", (10.0, 7500.0))])
 
 
 class TestFft:
@@ -193,6 +199,40 @@ class TestButterworth:
 
 
 class TestFilterApply:
+    @pytest.mark.parametrize("order,kind,cutoff", FILTER_GRID)
+    def test_matches_sequential_oracle(self, order, kind, cutoff):
+        c = dsp.design_butterworth(order, cutoff, SR, kind)
+        rng = np.random.default_rng(order)
+        for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 48000):
+            x = rng.standard_normal(n)
+            y = dsp.filter_apply(c, AudioBuffer(x, int(SR))).samples
+            want = naive_biquad_cascade(c.sections, x)
+            assert y.shape == (n,) and y.dtype == np.float64
+            if n:
+                assert np.max(np.abs(y - want)) <= 1e-10 * np.max(np.abs(want)), n
+
+    def test_float32_in_float32_out(self):
+        c = dsp.design_butterworth(8, 4000.0, SR, "lowpass")
+        x = np.random.default_rng(3).standard_normal(1000).astype(np.float32)
+        y = dsp.filter_apply(c, AudioBuffer(x, int(SR))).samples
+        assert y.dtype == np.float32
+        want = naive_biquad_cascade(c.sections, x)
+        assert np.max(np.abs(y - want)) <= 1e-6 * np.max(np.abs(want))
+        empty = dsp.filter_apply(c, AudioBuffer(np.zeros(0, np.float32), int(SR))).samples
+        assert empty.shape == (0,) and empty.dtype == np.float32
+
+    @pytest.mark.parametrize("delay", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_time_invariant_across_blocks(self, delay):
+        c = dsp.design_butterworth(8, (10.0, 7500.0), SR, "bandpass")
+        n = 4 * BLOCK
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        shifted = np.roll(impulse, delay)
+        h = dsp.filter_apply(c, AudioBuffer(impulse, int(SR))).samples
+        y = dsp.filter_apply(c, AudioBuffer(shifted, int(SR))).samples
+        assert np.all(y[:delay] == 0.0)
+        assert np.max(np.abs(y[delay:] - h[:n - delay])) <= 1e-10 * np.max(np.abs(h))
+
     def test_zero_in_zero_out(self):
         c = dsp.design_butterworth(4, 2000.0, SR, "lowpass")
         out = dsp.filter_apply(c, AudioBuffer(np.zeros(500), int(SR)))

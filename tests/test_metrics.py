@@ -63,6 +63,13 @@ class TestMrSpectralDistance:
             want = loss_freq(Tensor(a), Tensor(b))[0].item()
             assert MT.mr_spectral_distance(a, b) == want
 
+    def test_shared_reference_matches_single_calls(self):
+        rng = np.random.default_rng(9)
+        ref, a, b = rng.standard_normal((3, 1500))
+        assert MT.mr_spectral_distances(ref, [a, b, ref]) == [
+            loss_freq(Tensor(ref), Tensor(a))[0].item(),
+            loss_freq(Tensor(ref), Tensor(b))[0].item(), 0.0]
+
     def test_zero_estimate_sc_terms_sum_to_three(self):
         x = synth_voice(2000, SR, 8)
         _, sc_terms, _ = loss_freq(Tensor(x), Tensor(np.zeros(2000)))
