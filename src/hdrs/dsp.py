@@ -5,6 +5,10 @@ spectra (differentiable through to the waveform), Butterworth biquad design
 via bilinear transform with cutoff prewarping, zero-state IIR filtering,
 factor-4 windowed-sinc resampling, and linear convolution.
 
+Resampling is one adjoint pair of window products: decimation multiplies
+stride-4 129-tap windows by the kernel, interpolation stride-1 33-sample
+windows by the [33, 4] polyphase matrix; each is the other's backward pass.
+
 IIR filtering is block-parallel: each biquad section is run as a 2-state
 system over 128-sample blocks, with matrix products inside each block and a
 short recurrence carrying the state between blocks. It matches sequential
@@ -291,6 +295,10 @@ RESAMPLE_FACTOR = 4
 _ZERO_CROSSINGS = 16
 _HALF = RESAMPLE_FACTOR * _ZERO_CROSSINGS  # kernel half-width in high-rate taps
 _TAPS = 2 * _HALF + 1
+# Window rows per product in _interpolate: numpy copies strided windows whole
+# before a matrix-matrix product (not _decimate's matrix-vector one), 42 MB in
+# one product at 20 s; cache-sized blocks bound the copy and ran 3x faster.
+_INTERP_ROWS = 4096
 
 
 @functools.lru_cache(maxsize=4)
@@ -315,54 +323,66 @@ def _sinc_kernels(dtype_name: str):
     return up, down
 
 
+def _windows(x: np.ndarray, pad: int, width: int, step: int, dtype) -> np.ndarray:
+    """Read-only windows [..., count, width] over x zero-padded by ``pad`` at
+    both ends of its last axis (as dtype); window i starts at i * step."""
+    xp = np.zeros(x.shape[:-1] + (x.shape[-1] + 2 * pad,), dtype=dtype)
+    xp[..., pad:-pad] = x
+    s = xp.strides
+    count = (xp.shape[-1] - width) // step + 1
+    return as_strided(xp, xp.shape[:-1] + (count, width),
+                      s[:-1] + (step * s[-1], s[-1]), writeable=False)
+
+
+def _decimate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """[..., 4N] -> [..., N]: y[m] = sum_j x[4m + j - 64] kernel[j]."""
+    return _windows(x, _HALF, _TAPS, RESAMPLE_FACTOR, kernel.dtype) @ kernel
+
+
+def _interpolate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """[..., N] -> [..., 4N], the exact adjoint of :func:`_decimate`.
+
+    Output phase r at input sample m takes taps r, r + 4, ... against the 33
+    inputs around m: one product of those windows with the [33, 4] polyphase
+    matrix, taken ``_INTERP_ROWS`` windows at a time, gives all four phases,
+    which a reshape interleaves.
+    """
+    phases = np.pad(kernel, (0, RESAMPLE_FACTOR - 1)).reshape(-1, RESAMPLE_FACTOR)[::-1]
+    windows = _windows(x, _ZERO_CROSSINGS, len(phases), 1, kernel.dtype)
+    out = np.empty(windows.shape[:-1] + (RESAMPLE_FACTOR,), kernel.dtype)
+    for s in range(0, x.shape[-1], _INTERP_ROWS):
+        np.matmul(windows[..., s:s + _INTERP_ROWS, :], phases,
+                  out=out[..., s:s + _INTERP_ROWS, :])
+    return out.reshape(x.shape[:-1] + (-1,))
+
+
 def upsample_4x(x) -> Tensor:
-    """Windowed-sinc interpolation along the last axis, [..., N] -> [..., 4N];
-    differentiable."""
+    """Windowed-sinc interpolation along the last axis, [..., N] -> [..., 4N]:
+    :func:`_interpolate`, differentiated through its adjoint :func:`_decimate`."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    n = x.shape[-1]
     kernel, _ = _sinc_kernels(x.dtype.name)
-    full = np.zeros(x.shape[:-1] + (RESAMPLE_FACTOR * n + _TAPS - RESAMPLE_FACTOR,),
-                    dtype=x.dtype)
-    data = x.data
-    for j in range(_TAPS):
-        full[..., j:j + RESAMPLE_FACTOR * (n - 1) + 1:RESAMPLE_FACTOR] += data * kernel[j]
-    out = np.ascontiguousarray(full[..., _HALF:_HALF + RESAMPLE_FACTOR * n])
 
     def backward(g):
-        gfull = np.zeros_like(full)
-        gfull[..., _HALF:_HALF + RESAMPLE_FACTOR * n] = g
-        s = gfull.strides
-        patches = as_strided(gfull, gfull.shape[:-1] + (n, _TAPS),
-                             s[:-1] + (RESAMPLE_FACTOR * s[-1], s[-1]))
-        x._accum(patches @ kernel)
+        x._accum(_decimate(g, kernel))
 
-    return Tensor._make(out, (x,), backward, "upsample_4x")
+    return Tensor._make(_interpolate(x.data, kernel), (x,), backward, "upsample_4x")
 
 
 def downsample_4x(x) -> Tensor:
-    """Anti-aliased decimation along the last axis, [..., 4N] -> [..., N];
-    differentiable."""
+    """Anti-aliased decimation along the last axis, [..., 4N] -> [..., N]:
+    :func:`_decimate`, differentiated through its adjoint :func:`_interpolate`."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
     n = x.shape[-1]
     if n % RESAMPLE_FACTOR:
         raise LengthNotDivisible(f"length {n} not divisible by {RESAMPLE_FACTOR}")
-    m = n // RESAMPLE_FACTOR
     _, kernel = _sinc_kernels(x.dtype.name)
-    xp = np.pad(x.data, [(0, 0)] * (x.data.ndim - 1) + [(_HALF, _HALF)])
-    s = xp.strides
-    patches = as_strided(xp, xp.shape[:-1] + (m, _TAPS),
-                         s[:-1] + (RESAMPLE_FACTOR * s[-1], s[-1]))
-    out = patches @ kernel
 
     def backward(g):
-        gxp = np.zeros_like(xp)
-        for j in range(_TAPS):
-            gxp[..., j:j + RESAMPLE_FACTOR * (m - 1) + 1:RESAMPLE_FACTOR] += g * kernel[j]
-        x._accum(gxp[..., _HALF:_HALF + n])
+        x._accum(_interpolate(g, kernel))
 
-    return Tensor._make(out, (x,), backward, "downsample_4x")
+    return Tensor._make(_decimate(x.data, kernel), (x,), backward, "downsample_4x")
 
 
 # -- linear convolution ------------------------------------------------------------

@@ -148,41 +148,14 @@ class Tensor:
         return div(_as_tensor(other, self.dtype), self)
 
     # method forms of the common unaries/reductions
-    def abs(self):
-        return abs_(self)
-
-    def log(self):
-        return log(self)
-
     def sigmoid(self):
         return sigmoid(self)
-
-    def relu(self):
-        return relu(self)
-
-    def leaky_relu(self, slope: float = 0.01):
-        return leaky_relu(self, slope)
 
     def sum(self, axes=None, keepdims=False):
         return sum_(self, axes, keepdims)
 
-    def mean(self, axes=None, keepdims=False):
-        return mean(self, axes, keepdims)
-
-    def l1_norm(self, axes=None, keepdims=False):
-        return l1_norm(self, axes, keepdims)
-
     def frobenius_norm(self, axes=None, keepdims=False):
         return frobenius_norm(self, axes, keepdims)
-
-    def std(self, axes=None, keepdims=False):
-        return std(self, axes, keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self):
-        return transpose(self)
 
 
 def _as_tensor(x, dtype) -> Tensor:

@@ -181,3 +181,36 @@ def naive_biquad_cascade(sections, x: np.ndarray) -> np.ndarray:
             out.append(yn)
         y = out
     return np.asarray(y, dtype=np.float64)
+
+
+def naive_interpolate_4x(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Factor-4 interpolation [..., N] -> [..., 4N] by scattering, one tap at a
+    time: out[4m + j - H] += x[m] kernel[j] with H = len(kernel) // 2.
+
+    With the upsampling kernel this is upsampling; with the decimation kernel
+    it is the input gradient of decimation.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    half = len(kernel) // 2
+    full = np.zeros(x.shape[:-1] + (4 * n + 2 * half,))
+    for j, kj in enumerate(np.asarray(kernel, dtype=np.float64)):
+        full[..., j:j + 4 * n:4] += x * kj
+    return full[..., half:half + 4 * n]
+
+
+def naive_decimate_4x(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Factor-4 decimation [..., 4N] -> [..., N], one tap at a time:
+    out[m] = sum_j x[4m + j - H] kernel[j], zero outside the signal.
+
+    With the decimation kernel this is downsampling; with the upsampling
+    kernel it is the input gradient of upsampling.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1] // 4
+    half = len(kernel) // 2
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)])
+    out = np.zeros(x.shape[:-1] + (n,))
+    for j, kj in enumerate(np.asarray(kernel, dtype=np.float64)):
+        out += xp[..., j:j + 4 * n:4] * kj
+    return out

@@ -9,8 +9,8 @@ from hdrs import dsp
 from hdrs.audio import AudioBuffer
 from hdrs.tensor import Tensor, backward
 from oracles import (LOSS_RESOLUTIONS, finite_difference_grad, naive_biquad_cascade,
-                     naive_convolve_full, naive_dft, ref_si_sdr, ref_stft_input_grad,
-                     ref_stft_mag, rel_grad_error)
+                     naive_convolve_full, naive_decimate_4x, naive_dft, naive_interpolate_4x,
+                     ref_si_sdr, ref_stft_input_grad, ref_stft_mag, rel_grad_error)
 
 SR = 16000.0
 BLOCK = dsp._FILTER_BLOCK
@@ -263,6 +263,10 @@ class TestFilterApply:
             dsp.filter_apply(c, AudioBuffer(np.zeros(10), 8000))
 
 
+# the last length spans three of _interpolate's blocks of window rows
+RESAMPLE_LENGTHS = (1, 2, 16, 17, 33, 34, 4000, 2 * dsp._INTERP_ROWS + 1)
+
+
 class TestResample:
     def test_constant_upsample(self):
         out = dsp.upsample_4x(np.ones(256)).data
@@ -295,17 +299,50 @@ class TestResample:
             np.testing.assert_allclose(yb[i], dsp.downsample_4x(up_i).data, atol=1e-12)
             assert ref_si_sdr(xb[i][cut], yb[i][cut]) > 40.0
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    @pytest.mark.parametrize("n", RESAMPLE_LENGTHS)
+    def test_all_directions_match_oracles(self, n, lead, dtype, tol):
+        """Forward and input gradient of both ops against the per-tap loops,
+        within tol x the oracle's peak."""
+        up_k, down_k = dsp._sinc_kernels(np.dtype(dtype).name)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(lead + (n,)).astype(dtype)
+        x4 = rng.standard_normal(lead + (4 * n,)).astype(dtype)
+        xt, x4t = Tensor(x, requires_grad=True), Tensor(x4, requires_grad=True)
+        up, down = dsp.upsample_4x(xt), dsp.downsample_4x(x4t)
+        backward((up * Tensor(x4)).sum() + (down * Tensor(x)).sum())
+        for got, ref in ((up.data, naive_interpolate_4x(x, up_k)),
+                         (xt.grad, naive_decimate_4x(x4, up_k)),
+                         (down.data, naive_decimate_4x(x4, down_k)),
+                         (x4t.grad, naive_interpolate_4x(x, down_k))):
+            assert got.dtype == dtype and got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_interpolate_is_adjoint_of_decimate(self, which, lead):
+        kernel = dsp._sinc_kernels("float64")[which]
+        rng = np.random.default_rng(11 + which)
+        x = rng.standard_normal(lead + (257,))
+        y = rng.standard_normal(lead + (4 * 257,))
+        lhs = float(np.sum(dsp._interpolate(x, kernel) * y))
+        rhs = float(np.sum(x * dsp._decimate(y, kernel)))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
     def test_up_gradient(self):
+        # 40 samples reach outputs whose whole 33-sample window is inside the signal
         rng = np.random.default_rng(6)
-        x0 = rng.standard_normal(12)
-        w = rng.standard_normal(48)
+        for shape in ((12,), (40,), (2, 40)):
+            x0 = rng.standard_normal(shape)
+            w = rng.standard_normal(shape[:-1] + (4 * shape[-1],))
 
-        def f(x):
-            return float((dsp.upsample_4x(Tensor(x)).data * w).sum())
+            def f(x):
+                return float((dsp.upsample_4x(Tensor(x)).data * w).sum())
 
-        xt = Tensor(x0, requires_grad=True)
-        backward((dsp.upsample_4x(xt) * Tensor(w)).sum())
-        assert rel_grad_error(xt.grad, finite_difference_grad(f, x0)) < 1e-6
+            xt = Tensor(x0, requires_grad=True)
+            backward((dsp.upsample_4x(xt) * Tensor(w)).sum())
+            assert rel_grad_error(xt.grad, finite_difference_grad(f, x0)) < 1e-6
 
     def test_down_gradient(self):
         rng = np.random.default_rng(7)
