@@ -36,26 +36,32 @@ class Corrupt(ValueError):
 
 
 def save_container(path, text: dict, arrays: dict) -> None:
-    """Write config text plus named float32 arrays; bit-exact round trip."""
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    body = "".join(f"{k}={v}\n" for k, v in text.items()).encode("utf-8")
-    chunks.append(struct.pack("<I", len(body)))
-    chunks.append(body)
-    chunks.append(struct.pack("<I", len(arrays)))
-    for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype="<f4")
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", data.ndim))
-        chunks.append(struct.pack(f"<{data.ndim}Q", *data.shape))
-        chunks.append(data.tobytes())
-    blob = b"".join(chunks)
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    """Write config text plus named float32 arrays; bit-exact round trip.
+
+    Records go to the temp file as they are built, under a running CRC, so
+    no array is copied into one whole-file buffer.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
+    body = "".join(f"{k}={v}\n" for k, v in text.items()).encode("utf-8")
+    with open(tmp, "wb") as f:
+        crc = 0
+
+        def put(chunk) -> None:
+            nonlocal crc
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+
+        put(MAGIC + struct.pack("<II", FORMAT_VERSION, len(body)) + body
+            + struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            data = np.ascontiguousarray(arr, dtype="<f4")
+            nb = name.encode("utf-8")
+            put(struct.pack("<I", len(nb)) + nb + struct.pack("<I", data.ndim)
+                + struct.pack(f"<{data.ndim}Q", *data.shape))
+            put(data)
+        f.write(struct.pack("<I", crc & 0xFFFFFFFF))
     os.replace(tmp, path)
 
 

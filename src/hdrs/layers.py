@@ -111,14 +111,32 @@ def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
         out += p.bias.data[:, None]
 
     def backward(g):
-        flat = np.ascontiguousarray(patches).reshape(lead + (c_in * k, l_out))
-        p.weight._accum(_unbroadcast(g @ flat.swapaxes(-1, -2), w2.shape)
-                        .reshape(c_out, c_in, k))
+        gxp = np.zeros_like(xp)
+        if p.stride == 1:
+            # tap j reads the contiguous slice xp[..., j*d : j*d + l_out], so
+            # both gradients are taken tap by tap on views, with no im2col copy
+            w = p.weight.data
+            w_taps = np.ascontiguousarray(w.transpose(2, 1, 0))  # [k, c_in, c_out]
+            gw = np.empty_like(w)
+            gx_j = np.empty(lead + (c_in, l_out), dtype=gxp.dtype)
+            for j in range(k):
+                s = j * p.dilation
+                gw[:, :, j] = _unbroadcast(g @ xp[..., s:s + l_out].swapaxes(-1, -2),
+                                           (c_out, c_in))
+                if c_out == 1:  # rank 1: the broadcast product is the K=1 matmul
+                    np.multiply(w_taps[j], g, out=gx_j)
+                else:
+                    np.matmul(w_taps[j], g, out=gx_j)
+                gxp[..., s:s + l_out] += gx_j
+            p.weight._accum(gw)
+        else:
+            flat = np.ascontiguousarray(patches).reshape(lead + (c_in * k, l_out))
+            p.weight._accum(_unbroadcast(g @ flat.swapaxes(-1, -2), w2.shape)
+                            .reshape(c_out, c_in, k))
+            gp = (w2.T @ g).reshape(lead + (c_in, k, l_out))
+            _scatter_patches(gxp, gp, k, p.stride, p.dilation)
         if p.bias is not None:
             p.bias._accum(_unbroadcast(g.sum(axis=-1), (c_out,)))
-        gp = (w2.T @ g).reshape(lead + (c_in, k, l_out))
-        gxp = np.zeros_like(xp)
-        _scatter_patches(gxp, gp, k, p.stride, p.dilation)
         x._accum(gxp[..., p.padding:xp.shape[-1] - p.padding] if p.padding else gxp)
 
     parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)

@@ -5,7 +5,10 @@ differentiable operation stores its parents and a backward closure on the
 output tensor; calling :func:`backward` on a scalar root materializes the
 tape (a topological ordering of the recorded operations), walks it once in
 reverse, and accumulates gradients additively into every reachable tensor
-that participates in the graph.
+that participates in the graph. The walk consumes the tape: each recorded
+node's grad, closure and parent links are released once it has passed its
+gradient on, so only the root and the leaves (parameters, inputs) keep
+grads, and a tape can be walked once.
 
 Conventions:
   * leaves default to float64; pass float32 data for throughput builds
@@ -480,13 +483,29 @@ def backward(root: Tensor) -> None:
 
     Gradients accumulate additively across fan-out, so a tensor used twice
     receives the sum of both contributions.
+
+    The sweep consumes the tape: as soon as a recorded node has passed its
+    gradient on, its grad, backward closure and parent links are released,
+    so the activations its closure holds die during the sweep rather than
+    after it. Only the root and the leaves keep their grads, and a second
+    backward over the same root raises :class:`DetachedRoot`.
     """
     if root.data.size != 1:
         raise NotScalarRoot(f"backward root must be scalar, got shape {root.shape}")
     if root._backward is None and not root.requires_grad:
         raise DetachedRoot("root records no operations and does not require grad")
+    if root._backward is None and root._op != "leaf":
+        raise DetachedRoot("root's tape was consumed by an earlier backward")
     order = topo_order(root)
     root.grad = np.ones_like(root.data)
+    # every consumer of a node precedes it in this sweep, so no later _accum
+    # reaches a released node
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+        if node._backward is None:
+            continue  # a leaf: it keeps its grad
+        if node.grad is not None:
             node._backward(node.grad)
+        if node is not root:
+            node.grad = None
+        node._backward = None
+        node._parents = ()

@@ -62,26 +62,47 @@ class TestConv1d:
         with pytest.raises(L.InputTooShort):
             L.conv1d(t(np.ones((1, 4))), p)
 
+    # (lead, c_out, stride, padding, dilation): the strided im2col backward
+    # and the stride-1 per-tap one, including the rank-1 c_out == 1 product
+    GRAD_CASES = [((), 3, 2, 3, 2), ((), 3, 1, 0, 1), ((), 3, 1, 1, 2), ((), 1, 1, 1, 1),
+                  ((2,), 3, 1, 1, 2), ((2,), 1, 1, 0, 2), ((2,), 3, 2, 3, 2)]
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
-        x0 = rng.standard_normal((2, 14))
-        w0 = rng.standard_normal((3, 2, 5))
-        b0 = rng.standard_normal(3)
-        mix = rng.standard_normal((3, L.conv1d_length(14, 5, 2, 3, 2)))
+        for lead, c_out, stride, pad, dil in self.GRAD_CASES:
+            x0 = rng.standard_normal(lead + (2, 14))
+            w0 = rng.standard_normal((c_out, 2, 5))
+            b0 = rng.standard_normal(c_out)
+            mix = rng.standard_normal(lead + (c_out, L.conv1d_length(14, 5, stride, pad, dil)))
 
-        def run(x, w, b):
-            p = L.Conv1dParams(Tensor(w), Tensor(b), 2, 3, 2)
-            return float((L.conv1d(Tensor(x), p).data * mix).sum())
+            def run(x, w, b):
+                p = L.Conv1dParams(Tensor(w), Tensor(b), stride, pad, dil)
+                return float((L.conv1d(Tensor(x), p).data * mix).sum())
 
-        xt, wt, bt = t(x0, True), t(w0, True), t(b0, True)
-        out = L.conv1d(xt, L.Conv1dParams(wt, bt, 2, 3, 2))
-        backward((out * Tensor(mix)).sum())
-        assert rel_grad_error(xt.grad, finite_difference_grad(
-            lambda x: run(x, w0, b0), x0)) < 1e-4
-        assert rel_grad_error(wt.grad, finite_difference_grad(
-            lambda w: run(x0, w, b0), w0)) < 1e-4
-        assert rel_grad_error(bt.grad, finite_difference_grad(
-            lambda b: run(x0, w0, b), b0)) < 1e-4
+            xt, wt, bt = t(x0, True), t(w0, True), t(b0, True)
+            out = L.conv1d(xt, L.Conv1dParams(wt, bt, stride, pad, dil))
+            backward((out * Tensor(mix)).sum())
+            case = f"lead {lead} c_out {c_out} stride {stride} pad {pad} dil {dil}"
+            assert rel_grad_error(xt.grad, finite_difference_grad(
+                lambda x: run(x, w0, b0), x0)) < 1e-4, case
+            assert rel_grad_error(wt.grad, finite_difference_grad(
+                lambda w: run(x0, w, b0), w0)) < 1e-4, case
+            assert rel_grad_error(bt.grad, finite_difference_grad(
+                lambda b: run(x0, w0, b), b0)) < 1e-4, case
+
+    def test_stride1_input_gradient_is_adjoint(self):
+        """With zero bias conv1d is linear in x, so the input gradient of
+        <conv1d(x), g> is the adjoint applied to g: <x, x.grad> = <conv1d(x), g>."""
+        rng = np.random.default_rng(2)
+        for lead, c_out, _, pad, dil in self.GRAD_CASES[1:6]:
+            x0 = rng.standard_normal(lead + (3, 40))
+            p = conv_params(rng.standard_normal((c_out, 3, 4)), np.zeros(c_out), 1, pad, dil)
+            g = rng.standard_normal(lead + (c_out, L.conv1d_length(40, 4, 1, pad, dil)))
+            xt = t(x0, True)
+            y = L.conv1d(xt, p)
+            backward((y * Tensor(g)).sum())
+            lhs, rhs = np.vdot(x0, xt.grad), np.vdot(y.data, g)
+            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 class TestConvTranspose1d:

@@ -111,6 +111,18 @@ class TestBackward:
         with pytest.raises(T.DetachedRoot):
             T.backward(t(1.0))
 
+    def test_second_backward_over_spent_tape_raises(self):
+        # the first sweep releases the tape: a second one would reuse nothing
+        # (and, on a retained tape, stale intermediate grads: 18, not 6 or 12)
+        x = t([3.0], rg=True)
+        y = (x * x).sum()
+        T.backward(y)
+        np.testing.assert_allclose(x.grad, [6.0])
+        with pytest.raises(T.DetachedRoot, match="consumed"):
+            T.backward(y)
+        np.testing.assert_allclose(x.grad, [6.0])
+        np.testing.assert_allclose(y.grad, 1.0)
+
     def test_independent_graphs_are_linear(self):
         # backward(f + g) == backward(f) then backward(g), graph by graph
         rng = np.random.default_rng(3)
