@@ -56,7 +56,7 @@ def save_container(path, text: dict, arrays: dict) -> None:
         put(MAGIC + struct.pack("<II", FORMAT_VERSION, len(body)) + body
             + struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
+            data = np.require(arr, "<f4", "C")  # unlike ascontiguousarray, keeps rank 0
             nb = name.encode("utf-8")
             put(struct.pack("<I", len(nb)) + nb + struct.pack("<I", data.ndim)
                 + struct.pack(f"<{data.ndim}Q", *data.shape))

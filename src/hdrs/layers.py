@@ -215,9 +215,12 @@ def lstm_forward(x: Tensor, p: LstmParams, state: list | None = None) -> Tensor:
     Leading axes are independent sequences, stepped together as the B rows
     of one [B, H] state. Implemented as a single fused op: the forward loop
     stores per-step gate activations so the backward pass can run full BPTT
-    without growing the tape with T nodes. Each step multiplies with w_hh on
-    the left, so B=1 stays a matrix-vector product and at larger B one BLAS
-    call beats B of them.
+    without growing the tape with T nodes. Each step makes 11 numpy calls
+    into buffers made before the loop: ``np.dot(w_hh, h.T)`` (w_hh on the
+    left, so B=1 stays a matrix-vector product and at larger B one BLAS call
+    beats B of them), one tanh over all 4H gates, and in-place cell and
+    output updates. The gates equal ``stable_sigmoid`` (i, f, o) and
+    ``tanh`` (cell) of the pre-activation bit for bit.
 
     The initial state is zero unless ``state`` is given: a list, empty for a
     zero state or holding one ``(h, c)`` pair of [B, H] arrays per layer,
@@ -246,15 +249,29 @@ def lstm_forward(x: Tensor, p: LstmParams, state: list | None = None) -> Tensor:
         if state:
             h, c = state[layer]
         else:
-            h = np.zeros((n_b, h_dim), dtype=pre.dtype)
-            c = np.zeros((n_b, h_dim), dtype=pre.dtype)
+            h = c = np.zeros((n_b, h_dim), dtype=pre.dtype)  # read, never written
         w = w_hh.data
-        for t in range(t_len):
-            z = pre[t] + (w @ h.T).T
-            gates[t] = stable_sigmoid(z)
-            g_t = np.tanh(z[:, 2 * h_dim:3 * h_dim], out=gc[t])
-            c = np.add(f[t] * c, i[t] * g_t, out=cells[t])
-            h = np.multiply(o[t], np.tanh(c), out=outs[t])
+        # i, f and o are stable_sigmoid(z) = 0.5*tanh(0.5*z) + 0.5 and the cell
+        # gate is tanh(z): one tanh between a scale of 0.5 (1 on the cell gate)
+        # and a shift of 0.5 (-0.0 on it), both exact, so each keeps its bits
+        scale = np.full((n_b, 4 * h_dim), 0.5, dtype=pre.dtype)
+        shift = scale.copy()
+        scale[:, 2 * h_dim:3 * h_dim] = 1.0
+        shift[:, 2 * h_dim:3 * h_dim] = -0.0
+        zt = np.empty((4 * h_dim, n_b), dtype=np.result_type(w, pre))
+        ig = np.empty((n_b, h_dim), dtype=pre.dtype)
+        for pre_t, z, c_t, h_t, i_t, f_t, g_t, o_t in zip(pre, gates, cells, outs, i, f, gc, o):
+            np.dot(w, h.T, out=zt)  # the bits of (w @ h.T).T, read transposed
+            np.add(pre_t, zt.T, out=z)
+            z *= scale
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            np.multiply(i_t, g_t, out=ig)
+            c = np.multiply(f_t, c, out=c_t)
+            c += ig
+            h = np.tanh(c, out=h_t)
+            h *= o_t
         caches.append((seq, gates, cells, outs))
         if state is not None:
             final.append((h.copy(), c.copy()))  # copies: h and c view the step storage

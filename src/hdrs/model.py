@@ -36,10 +36,11 @@ VARIANTS = ("hd_demucs", "demucs_baseline", "no_fusion", "no_fusion_no_skip",
 STD_FLOOR = 1e-5
 
 # A no-grad forward runs an input longer than one window in windows, each
-# spanning this many bytes of a float32 activation with hidden_ch channels
-# (2.56 s at hidden_ch 48, 30.7 s at 4), which bounds the forward's working
-# set independently of the input length.
-_WINDOW_BYTES = 30 << 20
+# spanning this many bytes of the forward's widest float32 activation
+# (``frame_width``): 160 frames, 2.56 s, at hidden_ch 48 and depth 5, and
+# 3840 frames, 3.84 s, at hidden_ch 4 and depth 3. This bounds the forward's
+# working set independently of the input length.
+_WINDOW_BYTES = 15 << 20
 
 
 class InvalidLength(ValueError):
@@ -294,6 +295,17 @@ def fuse(refined: Tensor, masked: Tensor, params: dict, cfg: ModelConfig):
     return w, x_hat_up
 
 
+def frame_width(cfg: ModelConfig) -> int:
+    """Values per bottleneck frame of the forward's widest activation: the
+    largest channels x upsampled samples per frame, over each encoder and
+    decoder block's 2*ch-channel mix output and the fusion stack."""
+    f = cfg.stride ** cfg.depth
+    widths = [2 * c * f // cfg.stride ** (i + 1) for i, c in enumerate(cfg.channels)]
+    if cfg.variant == "hd_demucs":
+        widths.append(cfg.fusion_ch * f)
+    return max(widths)
+
+
 def halo_frames(cfg: ModelConfig) -> tuple:
     """(enc, dec), in bottleneck frames of stride**depth upsampled samples.
 
@@ -386,12 +398,13 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) 
     pins the fusion weight to a constant (the warm training phase runs the
     full model with w=0.5 and the fusion stack detached).
 
-    Under ``no_grad()`` an input longer than one window (``_WINDOW_BYTES``)
-    runs in consecutive windows of whole bottleneck frames. Each window's slice
-    of the upsampled input reaches ``sum(halo_frames)`` frames past its
-    ends, and the LSTM carries its state from one window to the next, so
-    the output matches the one-pass output up to rounding. Resampling and
-    normalisation stay whole-file. A recording forward runs in one pass.
+    Under ``no_grad()`` an input longer than one window (``_WINDOW_BYTES``
+    of its widest activation, ``frame_width``) runs in consecutive windows
+    of whole bottleneck frames. Each window's slice of the upsampled input
+    reaches ``sum(halo_frames)`` frames past its ends, and the LSTM carries
+    its state from one window to the next, so the output matches the
+    one-pass output up to rounding. Resampling and normalisation stay
+    whole-file. A recording forward runs in one pass.
     """
     if isinstance(y, AudioBuffer):
         if y.sample_rate != cfg.sample_rate:
@@ -418,7 +431,7 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) 
     h = T.reshape(y_up, y_up.shape[:-1] + (1, y_up.shape[-1]))
 
     # in bottleneck frames, each of mult upsampled samples
-    window = max(1, _WINDOW_BYTES // (4 * cfg.hidden_ch * mult))
+    window = max(1, _WINDOW_BYTES // (4 * frame_width(cfg)))
     if T.grad_enabled() or h.shape[-1] <= window * mult:
         out2, mask2, refined2, w2 = _core(h, params, cfg, w_override)
     else:

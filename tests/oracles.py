@@ -214,3 +214,42 @@ def naive_decimate_4x(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     for j, kj in enumerate(np.asarray(kernel, dtype=np.float64)):
         out += xp[..., j:j + 4 * n:4] * kj
     return out
+
+
+def naive_lstm(x: np.ndarray, layers, state=None):
+    """Stacked LSTM over [B, T, in], one timestep at a time, in the gate
+    order (input, forget, cell, output); returns ([B, T, H], final states).
+
+    ``layers`` holds (w_ih [4H, in], w_hh [4H, H], b [4H]) arrays, and
+    ``state`` is None for a zero state or one (h, c) pair of [B, H] arrays
+    per layer. Each step forms z = pre[t] + (w_hh @ h.T).T, takes the
+    logistic of all 4H as 0.5*tanh(0.5*z) + 0.5 for the i, f and o gates and
+    tanh(z) for the cell gate. The input projection pre is one matrix
+    product over all T*B rows; a lone row is doubled, since BLAS's
+    matrix-vector path rounds unlike the matrix product.
+    """
+    seq = np.swapaxes(x, 0, 1)  # [T, B, in]
+    t_len, n_b = seq.shape[:2]
+    finals = []
+    for k, (w_ih, w_hh, b) in enumerate(layers):
+        hd = w_hh.shape[1]
+        rows = seq.reshape(t_len * n_b, -1)
+        lone = len(rows) == 1
+        pre = ((np.vstack([rows, rows]) if lone else rows) @ w_ih.T + b)[:len(rows)]
+        pre = pre.reshape(t_len, n_b, 4 * hd)
+        if state is None:
+            h = c = np.zeros((n_b, hd), dtype=pre.dtype)
+        else:
+            h, c = state[k]
+        outs = []
+        for t in range(t_len):
+            z = pre[t] + (w_hh @ h.T).T
+            s = 0.5 * np.tanh(0.5 * z) + 0.5
+            i, f, o = s[:, :hd], s[:, hd:2 * hd], s[:, 3 * hd:]
+            g = np.tanh(z[:, 2 * hd:3 * hd])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            outs.append(h)
+        finals.append((h, c))
+        seq = np.stack(outs)
+    return np.swapaxes(seq, 0, 1), finals

@@ -181,8 +181,9 @@ class TestRestore:
         monkeypatch.setattr(model, "encode", lambda *a: calls.append(1) or encode(*a))
         ckpt = str(workspace / "run" / "final.ckpt")
         # the padded input is 1000 frames of 16 upsampled samples (depth 2)
+        width = model.frame_width(model.ModelConfig(hidden_ch=2, depth=2))
         for tag, window, windows in (("one", 1000, 1), ("windows", 250, 4)):
-            monkeypatch.setattr(model, "_WINDOW_BYTES", window * 4 * 2 * 16)
+            monkeypatch.setattr(model, "_WINDOW_BYTES", window * 4 * width)
             calls.clear()
             assert main(["restore", "--ckpt", ckpt, "--in", str(src),
                          "--out", str(tmp_path / tag), "--dump-trace"]) == 0

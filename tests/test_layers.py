@@ -9,7 +9,7 @@ from hdrs import layers as L
 from hdrs import tensor as T
 from hdrs.tensor import Tensor, backward
 from oracles import (finite_difference_grad, naive_conv1d,
-                     naive_conv_transpose1d, rel_grad_error)
+                     naive_conv_transpose1d, naive_lstm, rel_grad_error)
 
 
 def t(data, rg=False):
@@ -318,6 +318,49 @@ class TestLstm:
                 split = np.concatenate([head.data, tail.data], axis=-2)
                 assert split.dtype == dtype
                 assert split.tobytes() == whole.tobytes(), cut
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lead, t_len", [((), 6), ((2,), 6), ((), 1), ((2,), 1)])
+    def test_bytes_match_naive_steps(self, dtype, lead, t_len):
+        """Byte-equal to the oracle stepped one timestep at a time, from a
+        zero state and with a state carried across two calls; ((), 1) is
+        the lone-row input projection."""
+        rng = np.random.default_rng(12)
+        arrays = [tuple(a.data.astype(dtype) for a in layer)
+                  for layer in lstm_params(rng, 4, 16, 2).layers]
+        for _, _, b in arrays:
+            b[:] = rng.standard_normal(b.shape) * 0.4
+        p = L.LstmParams([tuple(Tensor(a) for a in layer) for layer in arrays])
+        x = rng.standard_normal(lead + (2 * t_len, 4)).astype(dtype)
+        xb = x.reshape((-1,) + x.shape[-2:])
+        want, _ = naive_lstm(xb[:, :t_len], arrays)
+        got = L.lstm_forward(Tensor(x[..., :t_len, :]), p).data
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        state, ref_state = [], None
+        for part in (slice(0, t_len), slice(t_len, 2 * t_len)):
+            with T.no_grad():
+                got = L.lstm_forward(Tensor(x[..., part, :]), p, state).data
+            want, ref_state = naive_lstm(xb[:, part], arrays, ref_state)
+            assert got.tobytes() == want.tobytes(), part
+
+    @pytest.mark.parametrize("pre", [-1e4, 1e4])
+    def test_saturated_float32_gates_raise_nothing(self, pre):
+        """Forward and backward at float32 pre-activations of +-1e4 raise no
+        floating-point error: every gate saturates to 0, 1 or +-1."""
+        rng = np.random.default_rng(13)
+        layers = []
+        for layer in lstm_params(rng, 3, 4, 2).layers:
+            arrays = [a.data.astype(np.float32) for a in layer]
+            arrays[2][:] = pre  # the bias
+            layers.append(tuple(Tensor(a, requires_grad=True) for a in arrays))
+        x = Tensor(rng.standard_normal((2, 5, 3)).astype(np.float32), requires_grad=True)
+        with np.errstate(all="raise"):
+            out = L.lstm_forward(x, L.LstmParams(layers))
+            backward(out.sum())
+        assert out.dtype == np.float32 and np.all(np.abs(out.data) <= 1.0)
+        assert np.all(np.isfinite(x.grad))
+        for a in (a for layer in layers for a in layer):
+            assert np.all(np.isfinite(a.grad))
 
     def test_carried_state_refused_on_a_recording_tape(self):
         rng = np.random.default_rng(11)

@@ -316,7 +316,7 @@ class TestInferenceMemory:
         cfg = tiny_cfg(hidden=8, depth=3)
         params = M.init_params(cfg, 0)
         frames = 250  # of 64 upsampled samples: 4000 input samples a window
-        monkeypatch.setattr(M, "_WINDOW_BYTES", frames * 4 * cfg.hidden_ch * 64, raising=False)
+        monkeypatch.setattr(M, "_WINDOW_BYTES", frames * 4 * M.frame_width(cfg), raising=False)
 
         def peak(n):
             y = np.random.default_rng(40).standard_normal(n).astype(np.float32) * 0.1
@@ -330,6 +330,28 @@ class TestInferenceMemory:
 
         stitched = 4 * (4 * 32000) * 4  # four float32 arrays at the 4x rate
         assert peak(32000) <= 1.1 * peak(8000) + stitched
+
+    def test_small_model_windows_bound_peak(self):
+        """At H=4 the 16-channel fusion stack at the 4x rate is the widest
+        activation, so windows sized by it bound the peak: 90.7 MB at 24 s
+        against 70.1 MB at 8 s, where windows sized by a hidden_ch activation
+        (30.7 s long) read 315.6 against 110.5 MB (numpy 2.4)."""
+        import tracemalloc
+        cfg = tiny_cfg()
+        params = M.init_params(cfg, 0)
+
+        def peak(seconds):
+            y = np.random.default_rng(40).standard_normal(16000 * seconds).astype(np.float32)
+            y *= 0.1
+            with T.no_grad():
+                tracemalloc.start()
+                try:
+                    M.forward(y, params, cfg)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert peak(24) <= 1.5 * peak(8)
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_no_grad_and_recording_outputs_byte_equal(self, variant):
@@ -409,7 +431,7 @@ class TestWindowedForward:
             y = rng.standard_normal(lead + (n,)) * 0.3
             traces = []
             for frames in (10**6, self.WINDOW):
-                monkeypatch.setattr(M, "_WINDOW_BYTES", frames * 4 * cfg.hidden_ch * 64)
+                monkeypatch.setattr(M, "_WINDOW_BYTES", frames * 4 * M.frame_width(cfg))
                 calls.clear()
                 with T.no_grad():
                     traces.append(M.forward(y, params, cfg, w_override=w_override))
@@ -426,7 +448,7 @@ class TestWindowedForward:
     def test_recording_forward_runs_in_one_pass(self, monkeypatch):
         cfg = tiny_cfg()
         params = M.init_params(cfg, 45, np.float64)
-        monkeypatch.setattr(M, "_WINDOW_BYTES", self.WINDOW * 4 * cfg.hidden_ch * 64)
+        monkeypatch.setattr(M, "_WINDOW_BYTES", self.WINDOW * 4 * M.frame_width(cfg))
         calls = []
         encode = M.encode
         monkeypatch.setattr(M, "encode", lambda *a: calls.append(1) or encode(*a))
@@ -495,6 +517,12 @@ class TestCheckpointContainer:
         _, loaded = load_container(path)
         for k, a in arrays.items():
             np.testing.assert_array_equal(loaded[k], a)
+
+    def test_zero_rank_array_round_trips(self, tmp_path):
+        path = tmp_path / "scalar.ckpt"
+        save_container(path, {}, {"s": np.float32(2.5)})
+        _, arrays = load_container(path)
+        assert arrays["s"].shape == () and arrays["s"] == np.float32(2.5)
 
     def test_truncated_file_is_corrupt(self, tmp_path):
         cfg = tiny_cfg()
