@@ -36,11 +36,14 @@ class AudioBuffer:
 
 
 def read_wav(path) -> AudioBuffer:
-    with wave.open(str(path), "rb") as w:
-        channels = w.getnchannels()
-        width = w.getsampwidth()
-        rate = w.getframerate()
-        raw = w.readframes(w.getnframes())
+    try:
+        with wave.open(str(path), "rb") as w:
+            channels = w.getnchannels()
+            width = w.getsampwidth()
+            rate = w.getframerate()
+            raw = w.readframes(w.getnframes())
+    except (wave.Error, EOFError) as e:  # not RIFF/WAVE, or a truncated header
+        raise WavFormatError(f"{path}: malformed WAV ({e or 'truncated'})") from e
     if channels != 1:
         raise WavFormatError(f"{path}: expected mono, got {channels} channels")
     if width == 2:

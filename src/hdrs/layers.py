@@ -47,9 +47,8 @@ class LstmParams:
     layers: list
 
 
-# Bytes of one contiguous im2col block in conv1d, and of one block of tap
-# products in conv_transpose1d: a few MiB stays cache-sized and bounds the
-# temporary independently of the input length.
+# Bytes of one im2col block or one block of tap products: a few MiB stays
+# cache-sized and bounds the temporary independently of the input length.
 _IM2COL_BYTES = 4 << 20
 
 
@@ -63,125 +62,122 @@ def conv_transpose1d_length(length: int, kernel: int, stride: int, padding: int,
     return (length - 1) * stride - 2 * padding + dilation * (kernel - 1) + 1
 
 
-def _gather_patches(xp: np.ndarray, kernel: int, stride: int, dilation: int,
-                    l_out: int) -> np.ndarray:
+def _taps(xp: np.ndarray, kernel: int, stride: int, dilation: int, l_out: int) -> np.ndarray:
     """[..., C, L] -> [..., C, kernel, l_out] strided view of every tap."""
     s = xp.strides
     return as_strided(xp, xp.shape[:-1] + (kernel, l_out),
                       s[:-1] + (dilation * s[-1], stride * s[-1]))
 
 
-def _scatter_patches(target: np.ndarray, patches: np.ndarray, kernel: int,
-                     stride: int, dilation: int) -> None:
-    l_out = patches.shape[-1]
-    hi = stride * (l_out - 1) + 1
-    for j in range(kernel):
-        target[..., j * dilation:j * dilation + hi:stride] += patches[..., j, :]
-
-
 def _pad_last(a: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(pad, pad)])
+    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(pad, pad)]) if pad else a
+
+
+def _blocks(n: int, column_bytes: int):
+    """[s, e) column ranges, one item's block at most _IM2COL_BYTES and never
+    one lone column, for which BLAS would take its matrix-vector path."""
+    step = max(2, _IM2COL_BYTES // column_bytes)
+    ends = list(range(step, n - 1, step)) + [n]
+    return zip([0] + ends[:-1], ends)
+
+
+def _gather(xp: np.ndarray, w: np.ndarray, stride: int, dilation: int, l_out: int):
+    """[..., B, L] -> [..., A, l_out] under w [A, B, k]: sum over b, j of
+    w[a, b, j] xp[b, t*stride + j*dilation]. Each im2col block is a reshaped
+    tap view, copied only where it must be: for a 1x1 stride-1 conv, xp itself."""
+    a, b, k = w.shape
+    patches = _taps(xp, k, stride, dilation, l_out)
+    out = np.empty(xp.shape[:-2] + (a, l_out), dtype=np.result_type(w, xp))
+    for i in np.ndindex(xp.shape[:-2]):
+        for s, e in _blocks(l_out, b * k * xp.itemsize):
+            np.matmul(w.reshape(a, b * k), patches[i][..., s:e].reshape(b * k, e - s),
+                      out=out[i][:, s:e])
+    return out
+
+
+def _scatter(y: np.ndarray, w: np.ndarray, stride: int, dilation: int, length: int):
+    """The exact adjoint of _gather, [..., A, l] -> [..., B, length]: adds
+    w[a, b, j] y[a, t] onto out[b, t*stride + j*dilation]. At kernel 8, stride
+    4 and odd dilation every output sums two products, so blocks keep every bit."""
+    a, b, k = w.shape
+    wt = w.reshape(a, b * k).T
+    out = np.zeros(y.shape[:-2] + (b, length), dtype=np.result_type(w, y))
+    for i in np.ndindex(y.shape[:-2]):
+        for s, e in _blocks(y.shape[-1], b * k * y.itemsize):
+            # [b * k, e - s] tap products; with one channel in y a broadcast beats K=1 matmul
+            gp = wt * y[i][:, s:e] if a == 1 else wt @ y[i][:, s:e]
+            for j in range(k):
+                o = s * stride + j * dilation
+                out[i][:, o:o + stride * (e - s - 1) + 1:stride] += gp[j::k]
+            del gp  # so the next block can take its memory
+    return out
+
+
+def _weight_grad(g: np.ndarray, xp: np.ndarray, kernel: int, stride: int, dilation: int):
+    """The gradient in w of _gather(xp) and of _scatter(g), for both convs:
+    sum over items and t of g[a, t] xp[b, t*stride + j*dilation]."""
+    a, b, l = g.shape[-2], xp.shape[-2], g.shape[-1]
+    patches = _taps(xp, kernel, stride, dilation, l)
+    gw = np.zeros((a, b * kernel), dtype=np.result_type(g, xp))
+    for i in np.ndindex(g.shape[:-2]):
+        for s, e in _blocks(l, b * kernel * xp.itemsize):
+            gw += g[i][:, s:e] @ patches[i][..., s:e].reshape(b * kernel, e - s).T
+    return gw.reshape(a, b, kernel)
+
+
+def _conv_node(x: Tensor, p: Conv1dParams, out: np.ndarray, grads, op: str) -> Tensor:
+    """Adds the bias to out and records it; grads(g) gives (weight grad, input grad)."""
+    if p.bias is not None:
+        out += p.bias.data[:, None]
+
+    def backward(g):
+        gw, gx = grads(g)
+        p.weight._accum(gw)
+        x._accum(gx)
+        if p.bias is not None:
+            p.bias._accum(_unbroadcast(g.sum(axis=-1), p.bias.shape))
+
+    parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
+    return Tensor._make(out, parents, backward, op)
 
 
 def conv1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Strided dilated convolution over [..., in_ch, L] -> [..., out_ch, L'].
-
-    Leading axes are independent items; the im2col product broadcasts over them.
-    """
-    c_out, c_in, k = p.weight.shape
+    """Strided dilated convolution over [..., in_ch, L] -> [..., out_ch, L'], leading axes
+    being independent items: _gather forward, _scatter backward."""
+    _, c_in, k = p.weight.shape
     if x.data.ndim < 2 or x.shape[-2] != c_in:
         raise ValueError(f"conv1d input {x.shape} does not match weight {p.weight.shape}")
-    lead, length = x.shape[:-2], x.shape[-1]
+    length, pad, w = x.shape[-1], p.padding, p.weight.data
     span = p.dilation * (k - 1) + 1
-    if length + 2 * p.padding < span:
-        raise InputTooShort(
-            f"length {length} + 2*{p.padding} pad < receptive span {span}")
-    l_out = conv1d_length(length, k, p.stride, p.padding, p.dilation)
-    xp = _pad_last(x.data, p.padding) if p.padding else x.data
-    patches = _gather_patches(xp, k, p.stride, p.dilation, l_out)
-    w2 = p.weight.data.reshape(c_out, c_in * k)
-    out = np.empty(lead + (c_out, l_out), dtype=np.result_type(w2, xp))
-    # im2col one block of output columns at a time, each copy at most _IM2COL_BYTES
-    step = max(1, _IM2COL_BYTES // (patches[..., :1].size * xp.itemsize))
-    for s in range(0, l_out, step):
-        e = min(s + step, l_out)
-        block = np.ascontiguousarray(patches[..., s:e]).reshape(lead + (c_in * k, e - s))
-        np.matmul(w2, block, out=out[..., s:e])
-    if p.bias is not None:
-        out += p.bias.data[:, None]
-
-    def backward(g):
-        gxp = np.zeros_like(xp)
-        if p.stride == 1:
-            # tap j reads the contiguous slice xp[..., j*d : j*d + l_out], so
-            # both gradients are taken tap by tap on views, with no im2col copy
-            w = p.weight.data
-            w_taps = np.ascontiguousarray(w.transpose(2, 1, 0))  # [k, c_in, c_out]
-            gw = np.empty_like(w)
-            gx_j = np.empty(lead + (c_in, l_out), dtype=gxp.dtype)
-            for j in range(k):
-                s = j * p.dilation
-                gw[:, :, j] = _unbroadcast(g @ xp[..., s:s + l_out].swapaxes(-1, -2),
-                                           (c_out, c_in))
-                if c_out == 1:  # rank 1: the broadcast product is the K=1 matmul
-                    np.multiply(w_taps[j], g, out=gx_j)
-                else:
-                    np.matmul(w_taps[j], g, out=gx_j)
-                gxp[..., s:s + l_out] += gx_j
-            p.weight._accum(gw)
-        else:
-            flat = np.ascontiguousarray(patches).reshape(lead + (c_in * k, l_out))
-            p.weight._accum(_unbroadcast(g @ flat.swapaxes(-1, -2), w2.shape)
-                            .reshape(c_out, c_in, k))
-            gp = (w2.T @ g).reshape(lead + (c_in, k, l_out))
-            _scatter_patches(gxp, gp, k, p.stride, p.dilation)
-        if p.bias is not None:
-            p.bias._accum(_unbroadcast(g.sum(axis=-1), (c_out,)))
-        x._accum(gxp[..., p.padding:xp.shape[-1] - p.padding] if p.padding else gxp)
-
-    parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
-    return Tensor._make(out, parents, backward, "conv1d")
+    if length + 2 * pad < span:
+        raise InputTooShort(f"length {length} + 2*{pad} pad < receptive span {span}")
+    l_out = conv1d_length(length, k, p.stride, pad, p.dilation)
+    out = _gather(_pad_last(x.data, pad), w, p.stride, p.dilation, l_out)
+    # the backward pads the input again, so no tape holds the padded copy
+    return _conv_node(x, p, out, lambda g: (
+        _weight_grad(g, _pad_last(x.data, pad), k, p.stride, p.dilation),
+        _scatter(g, w, p.stride, p.dilation, length + 2 * pad)[..., pad:pad + length]),
+        "conv1d")
 
 
 def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
-    """Adjoint of conv1d over [..., in_ch, L] -> [..., out_ch, L'] with dilation support."""
-    c_in, c_out, k = p.weight.shape
+    """Adjoint of conv1d over [..., in_ch, L] -> [..., out_ch, L'] with dilation support:
+    _scatter forward, _gather backward."""
+    c_in, _, k = p.weight.shape
     if x.data.ndim < 2 or x.shape[-2] != c_in:
         raise ValueError(f"conv_transpose1d input {x.shape} vs weight {p.weight.shape}")
-    lead, l_in = x.shape[:-2], x.shape[-1]
-    l_out = conv_transpose1d_length(l_in, k, p.stride, p.padding, p.dilation)
+    l_in, pad, w = x.shape[-1], p.padding, p.weight.data
+    l_out = conv_transpose1d_length(l_in, k, p.stride, pad, p.dilation)
     if l_out <= 0:
         raise NegativeOutputLength(f"output length {l_out} for input {l_in}")
-    l_full = (l_in - 1) * p.stride + p.dilation * (k - 1) + 1
-    w2 = p.weight.data.reshape(c_in, c_out * k)
-    full = np.zeros(lead + (c_out, l_full), dtype=x.dtype)
-    # scatter the tap products of one block of input columns at a time, each
-    # block at most _IM2COL_BYTES and never one lone column (BLAS would take
-    # its matrix-vector path and round differently); every output sample sums
-    # the same products whatever the blocks
-    step = max(2, _IM2COL_BYTES // (c_out * k * int(np.prod(lead)) * x.data.itemsize))
-    s = 0
-    while s < l_in:
-        e = l_in if l_in - s <= step + 1 else s + step
-        gp = (w2.T @ x.data[..., s:e]).reshape(lead + (c_out, k, e - s))
-        _scatter_patches(full[..., s * p.stride:], gp, k, p.stride, p.dilation)
-        s = e
-    out = full[..., p.padding:l_full - p.padding] if p.padding else full
-    if p.bias is not None:
-        out += p.bias.data[:, None]
+    out = _scatter(x.data, w, p.stride, p.dilation, l_out + 2 * pad)[..., pad:pad + l_out]
 
-    def backward(g):
-        gfull = _pad_last(g, p.padding) if p.padding else g
-        patches = _gather_patches(gfull, k, p.stride, p.dilation, l_in)
-        flat = np.ascontiguousarray(patches).reshape(lead + (c_out * k, l_in))
-        x._accum(w2 @ flat)
-        p.weight._accum(_unbroadcast(x.data @ flat.swapaxes(-1, -2), w2.shape)
-                        .reshape(c_in, c_out, k))
-        if p.bias is not None:
-            p.bias._accum(_unbroadcast(g.sum(axis=-1), (c_out,)))
+    def grads(g):
+        gfull = _pad_last(g, pad)
+        return (_weight_grad(x.data, gfull, k, p.stride, p.dilation),
+                _gather(gfull, w, p.stride, p.dilation, l_in))
 
-    parents = (x, p.weight) if p.bias is None else (x, p.weight, p.bias)
-    return Tensor._make(out, parents, backward, "conv_transpose1d")
+    return _conv_node(x, p, out, grads, "conv_transpose1d")
 
 
 def glu(x: Tensor) -> Tensor:

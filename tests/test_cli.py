@@ -209,6 +209,18 @@ class TestRestore:
         assert main(["restore", "--ckpt", str(workspace / "run" / "final.ckpt"),
                      "--in", str(empty), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("content", [b"not a wav file\n", "truncated"])
+    def test_malformed_wav_exits_2(self, workspace, tmp_path, capsys, content):
+        from hdrs.audio import AudioBuffer, write_wav
+        bad = tmp_path / "bad.wav"
+        if content == "truncated":  # the RIFF header and half the fmt chunk
+            write_wav(bad, AudioBuffer(np.zeros(100), 16000))
+            content = bad.read_bytes()[:30]
+        bad.write_bytes(content)
+        assert main(["restore", "--ckpt", str(workspace / "run" / "final.ckpt"),
+                     "--in", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "malformed WAV" in capsys.readouterr().err
+
     def test_moments_do_not_change_restored_bytes(self, workspace, tmp_path):
         from hdrs.checkpoint import load_container, save_container
         ckpt = workspace / "run" / "final.ckpt"

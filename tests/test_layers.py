@@ -38,7 +38,7 @@ class TestConv1d:
         b = rng.standard_normal(5)
         cases = [(1, 0, 1), (2, 3, 1), (4, 2, 1), (1, 4, 3), (3, 5, 2)]
         # first in one im2col block per call, then in blocks of two float64
-        # columns of the unbatched [12, L'] im2col (one column batched)
+        # columns of each item's [12, L'] im2col
         for block_bytes in [None, 2 * 12 * 8]:
             if block_bytes:
                 monkeypatch.setattr(L, "_IM2COL_BYTES", block_bytes)
@@ -62,8 +62,8 @@ class TestConv1d:
         with pytest.raises(L.InputTooShort):
             L.conv1d(t(np.ones((1, 4))), p)
 
-    # (lead, c_out, stride, padding, dilation): the strided im2col backward
-    # and the stride-1 per-tap one, including the rank-1 c_out == 1 product
+    # (lead, c_out, stride, padding, dilation), strided and stride 1,
+    # including the rank-1 c_out == 1 tap products
     GRAD_CASES = [((), 3, 2, 3, 2), ((), 3, 1, 0, 1), ((), 3, 1, 1, 2), ((), 1, 1, 1, 1),
                   ((2,), 3, 1, 1, 2), ((2,), 1, 1, 0, 2), ((2,), 3, 2, 3, 2)]
 
@@ -92,12 +92,14 @@ class TestConv1d:
 
     def test_stride1_input_gradient_is_adjoint(self):
         """With zero bias conv1d is linear in x, so the input gradient of
-        <conv1d(x), g> is the adjoint applied to g: <x, x.grad> = <conv1d(x), g>."""
+        <conv1d(x), g> is the adjoint applied to g: <x, x.grad> = <conv1d(x), g>.
+        Every GRAD_CASES stride, 1 and 2, is checked."""
         rng = np.random.default_rng(2)
-        for lead, c_out, _, pad, dil in self.GRAD_CASES[1:6]:
+        for lead, c_out, stride, pad, dil in self.GRAD_CASES:
             x0 = rng.standard_normal(lead + (3, 40))
-            p = conv_params(rng.standard_normal((c_out, 3, 4)), np.zeros(c_out), 1, pad, dil)
-            g = rng.standard_normal(lead + (c_out, L.conv1d_length(40, 4, 1, pad, dil)))
+            p = conv_params(rng.standard_normal((c_out, 3, 4)), np.zeros(c_out), stride, pad,
+                            dil)
+            g = rng.standard_normal(lead + (c_out, L.conv1d_length(40, 4, stride, pad, dil)))
             xt = t(x0, True)
             y = L.conv1d(xt, p)
             backward((y * Tensor(g)).sum())
@@ -170,27 +172,45 @@ class TestConvTranspose1d:
         rhs = float((x * back.data).sum())
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
+    @pytest.mark.parametrize("dilation,pad", [(1, 2), (3, 9)])
+    def test_input_gradient_is_adjoint(self, dilation, pad):
+        """With zero bias conv_transpose1d is linear in x, so the input
+        gradient of <conv_transpose1d(x), g> is its adjoint, conv1d, applied
+        to g: <x, x.grad> = <conv_transpose1d(x), g>, batched."""
+        rng = np.random.default_rng(5 + dilation)
+        x0 = rng.standard_normal((2, 3, 30))
+        p = conv_params(rng.standard_normal((3, 4, 8)), np.zeros(4), 4, pad, dilation)
+        g = rng.standard_normal((2, 4, L.conv_transpose1d_length(30, 8, 4, pad, dilation)))
+        xt = t(x0, True)
+        y = L.conv_transpose1d(xt, p)
+        backward((y * Tensor(g)).sum())
+        lhs, rhs = np.vdot(x0, xt.grad), np.vdot(y.data, g)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
-        x0 = rng.standard_normal((2, 5))
-        w0 = rng.standard_normal((2, 3, 8))
-        b0 = rng.standard_normal(3)
-        l_out = L.conv_transpose1d_length(5, 8, 4, 9, 3)
-        mix = rng.standard_normal((3, l_out))
+        # (lead, padding, dilation) at kernel 8, stride 4
+        for lead, pad, dil in [((), 9, 3), ((2,), 9, 3), ((), 2, 1)]:
+            x0 = rng.standard_normal(lead + (2, 5))
+            w0 = rng.standard_normal((2, 3, 8))
+            b0 = rng.standard_normal(3)
+            l_out = L.conv_transpose1d_length(5, 8, 4, pad, dil)
+            mix = rng.standard_normal(lead + (3, l_out))
 
-        def run(x, w, b):
-            p = L.Conv1dParams(Tensor(w), Tensor(b), 4, 9, 3)
-            return float((L.conv_transpose1d(Tensor(x), p).data * mix).sum())
+            def run(x, w, b):
+                p = L.Conv1dParams(Tensor(w), Tensor(b), 4, pad, dil)
+                return float((L.conv_transpose1d(Tensor(x), p).data * mix).sum())
 
-        xt, wt, bt = t(x0, True), t(w0, True), t(b0, True)
-        out = L.conv_transpose1d(xt, L.Conv1dParams(wt, bt, 4, 9, 3))
-        backward((out * Tensor(mix)).sum())
-        assert rel_grad_error(xt.grad, finite_difference_grad(
-            lambda x: run(x, w0, b0), x0)) < 1e-4
-        assert rel_grad_error(wt.grad, finite_difference_grad(
-            lambda w: run(x0, w, b0), w0)) < 1e-4
-        assert rel_grad_error(bt.grad, finite_difference_grad(
-            lambda b: run(x0, w0, b), b0)) < 1e-4
+            xt, wt, bt = t(x0, True), t(w0, True), t(b0, True)
+            out = L.conv_transpose1d(xt, L.Conv1dParams(wt, bt, 4, pad, dil))
+            backward((out * Tensor(mix)).sum())
+            case = f"lead {lead} pad {pad} dil {dil}"
+            assert rel_grad_error(xt.grad, finite_difference_grad(
+                lambda x: run(x, w0, b0), x0)) < 1e-4, case
+            assert rel_grad_error(wt.grad, finite_difference_grad(
+                lambda w: run(x0, w, b0), w0)) < 1e-4, case
+            assert rel_grad_error(bt.grad, finite_difference_grad(
+                lambda b: run(x0, w0, b), b0)) < 1e-4, case
 
 
 class TestGlu:

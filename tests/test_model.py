@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hdrs import layers as L
 from hdrs import model as M
 from hdrs import tensor as T
 from hdrs.checkpoint import Corrupt, FormatVersionMismatch, load_container, save_container
@@ -404,6 +405,33 @@ class TestTrainingMemory:
         finally:
             tracemalloc.stop()
         assert peak <= self.PEAK_OVER_TAPE * tape
+
+    # Traced backward peak of one stride-4 conv over its input's bytes. The
+    # input gradient is 1x; the transposed conv also pads a copy of its
+    # output gradient, 2x here. Beyond those the backward holds one
+    # im2col or tap-product block at a time: 1.05 and 3.08 (numpy 2.4),
+    # against 5.0 and 7.0 for a full-length im2col and tap-product pair.
+    @pytest.mark.parametrize("op,x_shape,peak_over_input", [
+        ("conv1d", (2, 16, 16384), 1.5),
+        ("conv_transpose1d", (2, 32, 4096), 3.5),
+    ])
+    def test_strided_conv_backward_peak_bounded_by_input(self, monkeypatch, op, x_shape,
+                                                          peak_over_input):
+        import tracemalloc
+        monkeypatch.setattr(L, "_IM2COL_BYTES", 64 << 10)
+        rng = np.random.default_rng(52)
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=True, dtype=np.float32)
+        w = Tensor(rng.standard_normal((32, 16, 8)), requires_grad=True, dtype=np.float32)
+        y = getattr(L, op)(x, L.Conv1dParams(w, None, stride=4, padding=2))
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y._backward(g)  # this op's backward alone, given its output gradient
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert peak <= peak_over_input * x.data.nbytes, peak / x.data.nbytes
 
 
 class TestWindowedForward:
