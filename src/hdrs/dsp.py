@@ -1,9 +1,10 @@
 """Deterministic signal-processing primitives.
 
-Power-of-two FFTs (computed by ``numpy.fft``), short-time magnitude
-spectra (differentiable through to the waveform), Butterworth biquad design
-via bilinear transform with cutoff prewarping, zero-state IIR filtering,
-factor-4 windowed-sinc resampling, and linear convolution.
+A power-of-two real-signal FFT (one-sided, by ``numpy.fft.rfft`` and
+``irfft``), short-time magnitude spectra (differentiable through to the
+waveform), Butterworth biquad design via bilinear transform with cutoff
+prewarping, zero-state IIR filtering, factor-4 windowed-sinc resampling,
+and linear convolution.
 
 Resampling is one adjoint pair of window products: decimation multiplies
 stride-4 129-tap windows by the kernel, interpolation stride-1 33-sample
@@ -21,7 +22,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .audio import AudioBuffer
 from .tensor import Tensor
@@ -50,17 +51,20 @@ class LengthNotDivisible(ValueError):
 # -- FFT -----------------------------------------------------------------------
 
 
-def fft(x, inverse: bool = False) -> np.ndarray:
-    """DFT over the last axis by ``numpy.fft``, in complex128.
+def fft(x, n: int | None = None, inverse: bool = False) -> np.ndarray:
+    """Real-signal DFT over the last axis by ``numpy.fft``, in float64.
 
-    Forward transform is unscaled, inverse is scaled by 1/N. Length must be
-    a power of two.
+    Forward maps real [..., m] (zero-padded or cut to n, default m) to the
+    unscaled one-sided spectrum [..., n // 2 + 1]. Inverse maps a one-sided
+    spectrum back to real [..., n] (default 2 * (m - 1)), scaled by 1/n. The
+    length n must be a power of two.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    if n == 0 or n & (n - 1):
+    x = np.asarray(x, dtype=np.complex128 if inverse else np.float64)
+    if n is None:
+        n = 2 * (x.shape[-1] - 1) if inverse else x.shape[-1]
+    if n <= 0 or n & (n - 1):
         raise NonPowerOfTwoLength(f"FFT length {n} is not a power of two")
-    return np.fft.ifft(x) if inverse else np.fft.fft(x)
+    return np.fft.irfft(x, n) if inverse else np.fft.rfft(x, n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -95,18 +99,14 @@ class StftConfig:
         return self.fft_bins // 2 + 1
 
 
-def stft_frame_count(length: int, cfg: StftConfig) -> int:
-    return 1 + (length - cfg.window_len) // cfg.hop
-
-
 def stft_magnitude(x, cfg: StftConfig) -> Tensor:
     """One-sided magnitude spectrograms [..., frames, bins] of waveforms [..., N].
 
     Leading axes are independent signals, transformed together by one FFT
     call. Frames are Hann-windowed and zero-padded to ``fft_bins``.
     Differentiable with respect to the waveform: the backward pass maps the
-    magnitude gradient through the DFT analytically (one forward FFT per
-    frame) and overlap-adds frame gradients back onto each signal.
+    magnitude gradient through the DFT analytically (one inverse real FFT
+    per frame) and overlap-adds frame gradients back onto each signal.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
@@ -115,25 +115,22 @@ def stft_magnitude(x, cfg: StftConfig) -> Tensor:
     length = x.shape[-1]
     if length < cfg.window_len:
         raise TooShort(f"waveform length {length} < window {cfg.window_len}")
-    n_frames = stft_frame_count(length, cfg)
     win = _hann_periodic(cfg.window_len)
     data = x.data
-    s = data.strides
-    frames = as_strided(data, data.shape[:-1] + (n_frames, cfg.window_len),
-                        s[:-1] + (cfg.hop * s[-1], s[-1]))
-    padded = np.zeros(frames.shape[:-1] + (cfg.fft_bins,))
-    padded[..., :cfg.window_len] = frames * win
-    spec = fft(padded)[..., :cfg.bins]
+    frames = sliding_window_view(data, cfg.window_len, axis=-1)[..., ::cfg.hop, :]
+    n_frames = frames.shape[-2]
+    spec = fft(frames * win, cfg.fft_bins)
     mag = np.abs(spec).astype(x.dtype)
 
     def backward(g):
-        # d|X_k|/dx_n = Re(conj(X_k) e^{-i w_k n}) / |X_k|; summing over the
-        # one-sided bins is a forward DFT of the weighted spectrum.
+        # d|X_k|/dx_n = Re(X_k e^{i w_k n}) / |X_k|, summed over the one-sided
+        # bins. irfft counts DC and Nyquist once and every other bin twice and
+        # divides by N, so those two bins are doubled and the result scaled by N/2.
         safe = np.where(mag > 0, mag, 1.0)
-        c = np.where(mag > 0, g * np.conj(spec) / safe, 0.0)
-        full = np.zeros(padded.shape, dtype=np.complex128)
-        full[..., :cfg.bins] = c
-        gframes = fft(full).real[..., :cfg.window_len] * win
+        c = np.where(mag > 0, g * spec / safe, 0.0)
+        c[..., [0, -1]] *= 2.0
+        frame_grads = fft(c, cfg.fft_bins, inverse=True)[..., :cfg.window_len]
+        gframes = frame_grads * (cfg.fft_bins / 2) * win
         # signal b's frames overlap-add into bins [b * length, (b + 1) * length)
         n_signals = data.size // length
         idx = (np.arange(n_signals)[:, None, None] * length
@@ -392,15 +389,10 @@ def convolve_full(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Linear convolution of x with r, trimmed to len(x).
 
     Trimming keeps a reverberated signal aligned with its dry source.
-    Computed by pointwise multiplication of zero-padded spectra.
+    Computed by pointwise multiplication of zero-padded one-sided spectra.
     """
-    x = np.asarray(x, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
     if len(x) == 0 or len(r) == 0:
         raise ValueError("convolve_full requires non-empty inputs")
     full_len = len(x) + len(r) - 1
     n = 1 << (full_len - 1).bit_length()
-    fx = fft(np.pad(x, (0, n - len(x))))
-    fr = fft(np.pad(r, (0, n - len(r))))
-    out = fft(fx * fr, inverse=True).real
-    return out[:len(x)]
+    return fft(fft(x, n) * fft(r, n), n, inverse=True)[:len(x)]

@@ -193,8 +193,10 @@ def glu(x: Tensor) -> Tensor:
     def backward(g):
         gate = stable_sigmoid(x.data[..., half:, :])  # recomputed, so no tape holds it
         gx = np.empty_like(x.data)
-        gx[..., :half, :] = g * gate
-        gx[..., half:, :] = g * a * gate * (1.0 - gate)
+        np.multiply(g, gate, out=gx[..., :half, :])
+        gb = np.multiply(g, a, out=gx[..., half:, :])  # ((g * a) * gate) * (1 - gate)
+        gb *= gate
+        gb *= np.subtract(1.0, gate, out=gate)
         x._accum(gx)
 
     return Tensor._make(out, (x,), backward, "glu")
@@ -291,16 +293,17 @@ def lstm_forward(x: Tensor, p: LstmParams, state: list | None = None) -> Tensor:
                               i * (1.0 - gc * gc), tanh_c * o * (1.0 - o)], axis=2)
             dz_all = np.empty_like(k_all)
             w_t = np.ascontiguousarray(w_hh.data.T)
-            dh_next = np.zeros((n_b, h_dim), dtype=inp.dtype)
-            dc_next = np.zeros((n_b, h_dim), dtype=inp.dtype)
+            dh, dc, dc_next = (np.zeros((n_b, h_dim), dtype=inp.dtype) for _ in range(3))
+            dh_next_t = np.zeros((h_dim, n_b), dtype=np.result_type(w_t, dz_all))
             for t in range(t_len - 1, -1, -1):
-                dh = grad_seq[t] + dh_next
-                dc = dc_next + dh * dc_dh[t]
+                np.add(grad_seq[t], dh_next_t.T, out=dh)
+                np.multiply(dh, dc_dh[t], out=dc)
+                dc += dc_next
                 kt, dz = k_all[t], dz_all[t]
                 np.multiply(kt[:, :3], dc[:, None], out=dz[:, :3])
                 np.multiply(kt[:, 3], dh, out=dz[:, 3])
-                dh_next = (w_t @ dz.reshape(n_b, 4 * h_dim).T).T
-                dc_next = dc * f[t]
+                np.dot(w_t, dz.reshape(n_b, 4 * h_dim).T, out=dh_next_t)
+                np.multiply(dc, f[t], out=dc_next)
             dz_flat = dz_all.reshape(t_len * n_b, 4 * h_dim)
             h_prev = np.concatenate([np.zeros_like(outs[:1]), outs[:-1]])
             w_ih._accum(dz_flat.T @ inp.reshape(t_len * n_b, -1))

@@ -110,10 +110,27 @@ def ref_stft_input_grad(x: np.ndarray, g: np.ndarray, nfft: int, hop: int,
                         win: int) -> np.ndarray:
     """Waveform gradient of sum(g * |STFT(x)|), one frame at a time.
 
-    Each frame's gradient is the real part of a forward DFT of the weighted
-    conjugate spectrum, windowed and overlap-added onto the signal in frame
-    order.
+    Each frame's gradient is a one-sided inverse real DFT of the weighted
+    spectrum, its DC and Nyquist bins doubled, times nfft / 2, windowed and
+    overlap-added onto the signal in frame order.
     """
+    w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win) / win)
+    frames = 1 + (len(x) - win) // hop
+    gx = np.zeros(len(x))
+    for t in range(frames):
+        spec = np.fft.rfft(x[t * hop:t * hop + win] * w, nfft)
+        mag = np.abs(spec)
+        c = np.where(mag > 0, g[t] * spec / np.where(mag > 0, mag, 1.0), 0.0)
+        c[[0, -1]] *= 2.0
+        gx[t * hop:t * hop + win] += np.fft.irfft(c, nfft)[:win] * (nfft / 2) * w
+    return gx
+
+
+def ref_stft_input_grad_complex(x: np.ndarray, g: np.ndarray, nfft: int, hop: int,
+                                win: int) -> np.ndarray:
+    """The same gradient by the complex full-length DFT: per frame, the real
+    part of a forward DFT of the weighted conjugate spectrum, zero past the
+    one-sided bins. It shares no transform with the real-signal path."""
     w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win) / win)
     frames = 1 + (len(x) - win) // hop
     bins = nfft // 2 + 1

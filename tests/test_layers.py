@@ -248,6 +248,18 @@ class TestGlu:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_bytes_equal_product_rule(self, dtype):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 6, 9)).astype(dtype)
+        g = rng.standard_normal((2, 3, 9)).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        backward((L.glu(xt) * Tensor(g)).sum())
+        a, gate = x[..., :3, :], T.stable_sigmoid(x[..., 3:, :])
+        want = np.concatenate([g * gate, g * a * gate * (1.0 - gate)], axis=-2)
+        assert xt.grad.dtype == want.dtype
+        np.testing.assert_array_equal(xt.grad, want)
+
 
 def lstm_params(rng, in_dim, h_dim, n_layers, rg=False, zero=False):
     layers = []
