@@ -9,10 +9,15 @@ Little-endian layout:
 The trailing CRC32 covers every preceding byte; a truncated or bit-flipped
 file fails closed with ``Corrupt`` before any state is handed back. Writes
 go to a temp file in the target directory followed by an atomic rename.
+
+Config dataclasses become ``section.field=value`` text through one pair,
+``config_text`` and ``config_from_text``; checkpoints, INI files, ``--set``
+overrides and the startup echo all share it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
@@ -33,6 +38,38 @@ class FormatVersionMismatch(ValueError):
 
 class Corrupt(ValueError):
     pass
+
+
+def config_text(cfg, section: str) -> dict:
+    """``section.field`` -> value text for every field of the dataclass
+    ``cfg``, in field order; tuples are joined with commas."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        out[f"{section}.{f.name}"] = ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+    return out
+
+
+# Field annotations are strings (postponed evaluation); the leading word picks
+# the parser, and any other annotation keeps the raw text.
+_PARSERS = {"tuple": lambda raw: tuple(int(v) for v in raw.replace(" ", "").split(",")),
+            "int": int, "float": float}
+
+
+def config_from_text(cls, section: str, text: dict):
+    """The dataclass ``cls`` built from the ``section.*`` keys of ``text``;
+    fields without a key keep their defaults. A key naming no field raises
+    ``ValueError``."""
+    types = {f.name: str(f.type).split()[0] for f in dataclasses.fields(cls)}
+    kw = {}
+    for key, raw in text.items():
+        sec, _, name = key.partition(".")
+        if sec != section:
+            continue
+        if name not in types:
+            raise ValueError(f"unknown key {name!r} for section [{section}]")
+        kw[name] = _PARSERS.get(types[name], str)(raw)
+    return cls(**kw)
 
 
 def save_container(path, text: dict, arrays: dict) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .audio import AudioBuffer, read_wav, write_wav
+from .checkpoint import config_from_text, config_text
 from .dsp import StftConfig, stft_magnitude
 from .metrics import evaluate, write_report
 from .model import EmptyInput, ModelConfig, SampleRateMismatch, forward
@@ -47,39 +47,20 @@ class RunConfig:
 
     def echo(self, out=None) -> None:
         out = out if out is not None else sys.stdout
-        for k, v in sorted(self.model.to_text_dict().items()):
-            print(f"config: {k} = {v}", file=out)
-        for k, v in sorted(self.train.to_text_dict().items()):
-            print(f"config: {k} = {v}", file=out)
-        for k, v in sorted(self.simulate.items()):
-            print(f"config: simulate.{k} = {v}", file=out)
+        for text in (config_text(self.model, "model"), config_text(self.train, "train"),
+                     {f"simulate.{k}": v for k, v in self.simulate.items()}):
+            for k, v in sorted(text.items()):
+                print(f"config: {k} = {v}", file=out)
 
 
 _SIM_KEYS = {"subset": str, "split": str, "seed": int, "count": int}
 
 
-def _coerce_field(cls, key: str, raw: str):
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    if key not in types:
-        raise ValueError(f"unknown key {key!r} for section [{cls.__name__}]")
-    t = str(types[key])
-    if key == "refinement_dilations":
-        return tuple(int(v) for v in raw.replace(" ", "").split(","))
-    if "int" in t:
-        return int(raw)
-    if "float" in t:
-        return float(raw)
-    return raw
-
-
 def load_run_config(path: str | None, overrides: list) -> RunConfig:
     """INI sections [model] [train] [simulate]; --set overrides win."""
-    model_kw: dict = {}
-    train_kw: dict = {}
-    sim_kw: dict = {}
-    items = []
+    text: dict = {}
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         read = parser.read(path)
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")
@@ -87,25 +68,23 @@ def load_run_config(path: str | None, overrides: list) -> RunConfig:
             if section not in ("model", "train", "simulate"):
                 raise ValueError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
-                items.append((section, key, raw))
+                text[f"{section}.{key}"] = raw
     for spec in overrides or []:
         key, _, raw = spec.partition("=")
         if not raw:
             raise ValueError(f"--set expects section.key=value, got {spec!r}")
-        section, _, key = key.partition(".")
-        items.append((section, key, raw))
-    for section, key, raw in items:
-        if section == "model":
-            model_kw[key] = _coerce_field(ModelConfig, key, raw)
-        elif section == "train":
-            train_kw[key] = _coerce_field(TrainConfig, key, raw)
-        elif section == "simulate":
-            if key not in _SIM_KEYS:
-                raise ValueError(f"unknown key {key!r} for section [simulate]")
-            sim_kw[key] = _SIM_KEYS[key](raw)
-        else:
+        text[key] = raw
+    sim_kw: dict = {}
+    for key, raw in text.items():
+        section, _, name = key.partition(".")
+        if section not in ("model", "train", "simulate"):
             raise ValueError(f"unknown config section [{section}]")
-    return RunConfig(ModelConfig(**model_kw), TrainConfig(**train_kw), sim_kw)
+        if section == "simulate":
+            if name not in _SIM_KEYS:
+                raise ValueError(f"unknown key {name!r} for section [simulate]")
+            sim_kw[name] = _SIM_KEYS[name](raw)
+    return RunConfig(config_from_text(ModelConfig, "model", text),
+                     config_from_text(TrainConfig, "train", text), sim_kw)
 
 
 # -- commands ---------------------------------------------------------------------
@@ -219,7 +198,11 @@ def cmd_restore(args) -> int:
 def cmd_evaluate(args) -> int:
     params, _, model_cfg, _ = load_checkpoint(args.ckpt, moments=False)
     subset = None if args.subset == "all" else args.subset
-    report = evaluate(args.manifest, params, model_cfg, subset)
+    try:
+        report = evaluate(args.manifest, params, model_cfg, subset)
+    except SampleRateMismatch as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SAMPLE_RATE
     write_report(args.report, report)
     for tag in report.subsets():
         m = report.means(tag)

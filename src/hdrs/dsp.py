@@ -82,7 +82,6 @@ class StftConfig:
     fft_bins: int
     hop: int
     window_len: int
-    window: str = "hann"
 
     def __post_init__(self):
         if self.fft_bins & (self.fft_bins - 1) or self.fft_bins <= 0:
@@ -91,8 +90,6 @@ class StftConfig:
             raise ValueError("require window_len <= fft_bins")
         if not (0 < self.hop <= self.window_len):
             raise ValueError("require hop <= window_len")
-        if self.window != "hann":
-            raise ValueError(f"unsupported window {self.window!r}")
 
     @property
     def bins(self) -> int:

@@ -19,7 +19,7 @@ from . import tensor as T
 from .audio import read_wav
 from .dsp import stft_magnitude
 from .loss import STFT_RESOLUTIONS, LengthMismatch, loss_freq
-from .model import ModelConfig, forward
+from .model import ModelConfig, SampleRateMismatch, forward
 from .simulate import read_manifest
 from .tensor import Tensor
 
@@ -114,7 +114,8 @@ class EvalReport:
 def evaluate(manifest_path, params: dict, cfg: ModelConfig,
              subset: str | None = None) -> EvalReport:
     """Score every (clean, distorted) pair: the unprocessed input and the
-    restored output against the clean reference."""
+    restored output against the clean reference. A WAV whose rate is not
+    the manifest's raises ``SampleRateMismatch``."""
     sr, records = read_manifest(manifest_path)
     if subset is not None:
         records = [r for r in records if r.subset == subset]
@@ -124,8 +125,12 @@ def evaluate(manifest_path, params: dict, cfg: ModelConfig,
         raise ValueError(f"manifest rate {sr} != model rate {cfg.sample_rate}")
     rows = []
     for r in records:
-        clean = read_wav(r.clean_path).samples
-        dist = read_wav(r.distorted_path).samples
+        clean, dist = read_wav(r.clean_path), read_wav(r.distorted_path)
+        for path, buf in ((r.clean_path, clean), (r.distorted_path, dist)):
+            if buf.sample_rate != sr:
+                raise SampleRateMismatch(
+                    f"{path}: rate {buf.sample_rate} != manifest rate {sr}")
+        clean, dist = clean.samples, dist.samples
         with T.no_grad():
             restored = forward(dist.astype(np.float32), params, cfg).x_hat.data
         restored = restored.astype(np.float64)

@@ -97,36 +97,6 @@ class ModelConfig:
     def tconv_padding(self, dilation: int) -> int:
         return (dilation * (self.kernel - 1) - (self.stride - 1)) // 2
 
-    def to_text_dict(self) -> dict:
-        return {
-            "model.hidden_ch": str(self.hidden_ch),
-            "model.depth": str(self.depth),
-            "model.kernel": str(self.kernel),
-            "model.stride": str(self.stride),
-            "model.resample_factor": str(self.resample_factor),
-            "model.lstm_layers": str(self.lstm_layers),
-            "model.refinement_dilations": ",".join(map(str, self.refinement_dilations)),
-            "model.fusion_ch": str(self.fusion_ch),
-            "model.variant": self.variant,
-            "model.sample_rate": str(self.sample_rate),
-        }
-
-    @staticmethod
-    def from_text_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            hidden_ch=int(d["model.hidden_ch"]),
-            depth=int(d["model.depth"]),
-            kernel=int(d["model.kernel"]),
-            stride=int(d["model.stride"]),
-            resample_factor=int(d["model.resample_factor"]),
-            lstm_layers=int(d["model.lstm_layers"]),
-            refinement_dilations=tuple(
-                int(v) for v in d["model.refinement_dilations"].split(",")),
-            fusion_ch=int(d["model.fusion_ch"]),
-            variant=d["model.variant"],
-            sample_rate=int(d["model.sample_rate"]),
-        )
-
 
 @dataclass
 class ForwardTrace:

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import tensor as T
 from .audio import read_wav
-from .checkpoint import load_container, save_container
+from .checkpoint import Corrupt, config_from_text, config_text, load_container, \
+    save_container
 from .loss import loss_total
 from .model import ModelConfig, forward, init_params, param_shapes
 from .simulate import read_manifest
@@ -67,23 +68,6 @@ class TrainConfig:
             raise ValueError("need 0 <= warm_phase_steps < total_steps")
         if min(self.total_steps, self.lr, self.batch_size, self.segment_samples) <= 0:
             raise ValueError("total_steps, lr, batch_size, segment_samples must be positive")
-
-    def to_text_dict(self) -> dict:
-        return {f"train.{k}": repr(getattr(self, k)) for k in (
-            "total_steps", "warm_phase_steps", "lr", "lr_min", "beta1", "beta2",
-            "eps", "batch_size", "segment_samples", "seed",
-            "checkpoint_interval", "grad_clip")}
-
-    @staticmethod
-    def from_text_dict(d: dict) -> "TrainConfig":
-        kw = {}
-        for k, v in d.items():
-            if k.startswith("train."):
-                name = k[len("train."):]
-                kw[name] = int(v) if name in (
-                    "total_steps", "warm_phase_steps", "batch_size",
-                    "segment_samples", "seed", "checkpoint_interval") else float(v)
-        return TrainConfig(**kw)
 
 
 @dataclass
@@ -145,9 +129,8 @@ def clip_gradients(params: dict, max_norm: float) -> None:
 def save_checkpoint(path, params: dict, state: TrainState,
                     model_cfg: ModelConfig, train_cfg: TrainConfig) -> None:
     text = {"state.step": str(state.step), "state.phase": state.phase,
-            "state.seed": str(state.seed)}
-    text.update(model_cfg.to_text_dict())
-    text.update(train_cfg.to_text_dict())
+            "state.seed": str(state.seed),
+            **config_text(model_cfg, "model"), **config_text(train_cfg, "train")}
     arrays = {}
     for name, p in params.items():
         arrays[name] = p.data
@@ -161,13 +144,27 @@ def save_checkpoint(path, params: dict, state: TrainState,
 def load_checkpoint(path, moments: bool = True):
     """Returns (params, state, model_cfg, train_cfg); moments default to
     zeros for inference-only checkpoints. With ``moments=False`` the Adam
-    moments are not read and ``state.m``/``state.v`` stay empty."""
+    moments are not read and ``state.m``/``state.v`` stay empty.
+
+    Config text missing a ``model.*`` or ``train.*`` key, naming an unknown
+    one or holding an invalid value, and a parameter missing or of the
+    wrong shape, raise ``Corrupt``."""
     text, arrays = load_container(
         path, None if moments else lambda name: not name.startswith("adam."))
-    model_cfg = ModelConfig.from_text_dict(text)
-    train_cfg = TrainConfig.from_text_dict(text)
+    try:
+        model_cfg = config_from_text(ModelConfig, "model", text)
+        train_cfg = config_from_text(TrainConfig, "train", text)
+    except ValueError as e:
+        raise Corrupt(f"{path}: bad config text ({e})") from None
+    missing = (config_text(model_cfg, "model").keys()
+               | config_text(train_cfg, "train").keys()) - text.keys()
+    if missing:
+        raise Corrupt(f"{path}: config text lacks {sorted(missing)}")
     params = {}
-    for name, _shape, _fan in param_shapes(model_cfg):
+    for name, shape, _fan in param_shapes(model_cfg):
+        if name not in arrays or arrays[name].shape != shape:
+            got = arrays[name].shape if name in arrays else "missing"
+            raise Corrupt(f"{path}: parameter {name} is {got}, expected shape {shape}")
         params[name] = Tensor(arrays[name], requires_grad=True, dtype=np.float32)
     state = TrainState(step=int(text.get("state.step", "0")),
                        phase=text.get("state.phase", "warm"),

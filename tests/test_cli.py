@@ -1,11 +1,14 @@
 """CLI contracts: flags, exit codes, file outputs."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hdrs.audio import read_wav
-from hdrs.cli import build_parser, main
-from hdrs.simulate import SUBSET_B_TEST_CUTOFFS_HZ, read_manifest
+from hdrs.cli import build_parser, load_run_config, main
+from hdrs.simulate import SUBSET_B_TEST_CUTOFFS_HZ, read_manifest, write_manifest
 from synth import make_clean_dir
 
 CONFIG = """
@@ -110,6 +113,17 @@ class TestTrain:
               "--manifest", str(workspace / "corpus" / "manifest.tsv"),
               "--out", str(tmp_path / "ovr")])
         assert "config: model.hidden_ch = 4" in capsys.readouterr().out
+
+    def test_readme_ini_example_parses(self, tmp_path):
+        """The README's INI block, inline ``;`` comments included, read verbatim."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        ini = tmp_path / "readme.ini"
+        ini.write_text(block, encoding="utf-8")
+        run = load_run_config(str(ini), [])
+        assert run.model.hidden_ch == 48
+        assert run.model.variant == "hd_demucs"
+        assert run.train.warm_phase_steps == 10000
 
     def test_resume_flag_reproduces_uninterrupted_run(self, workspace, tmp_path):
         cfg = tmp_path / "resume.ini"
@@ -221,6 +235,20 @@ class TestRestore:
                      "--in", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "malformed WAV" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["stray_key", "missing_key"])
+    def test_malformed_checkpoint_text_exits_2(self, workspace, tmp_path, capsys, edit):
+        from hdrs.checkpoint import load_container, save_container
+        text, arrays = load_container(workspace / "run" / "final.ckpt")
+        if edit == "stray_key":
+            text["train.foo"] = "1"
+        else:
+            del text["model.fusion_ch"]
+        bad = tmp_path / "bad.ckpt"
+        save_container(bad, text, arrays)
+        assert main(["restore", "--ckpt", str(bad), "--in", str(workspace / "clean"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert ("foo" if edit == "stray_key" else "model.fusion_ch") in capsys.readouterr().err
+
     def test_moments_do_not_change_restored_bytes(self, workspace, tmp_path):
         from hdrs.checkpoint import load_container, save_container
         ckpt = workspace / "run" / "final.ckpt"
@@ -267,6 +295,18 @@ class TestEvaluate:
         out = capsys.readouterr().out
         for subset in ("N", "R", "B", "A"):
             assert f"subset {subset} (1 files):" in out
+
+    def test_wav_rate_unlike_manifest_exits_5(self, workspace, tmp_path, capsys):
+        from hdrs.audio import AudioBuffer, write_wav
+        sr, records = read_manifest(workspace / "corpus" / "manifest.tsv")
+        wrong = tmp_path / "wrong.wav"
+        write_wav(wrong, AudioBuffer(read_wav(records[0].distorted_path).samples, 8000))
+        manifest = tmp_path / "wrong.tsv"
+        write_manifest(manifest, [dataclasses.replace(records[0], distorted_path=str(wrong))],
+                       sr)
+        assert main(["evaluate", "--ckpt", str(workspace / "run" / "final.ckpt"),
+                     "--manifest", str(manifest), "--report", str(tmp_path / "r.tsv")]) == 5
+        assert "wrong.wav" in capsys.readouterr().err
 
     def test_malformed_manifest_exits_2_naming_line(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

@@ -6,7 +6,8 @@ import pytest
 from hdrs import layers as L
 from hdrs import model as M
 from hdrs import tensor as T
-from hdrs.checkpoint import Corrupt, FormatVersionMismatch, load_container, save_container
+from hdrs.checkpoint import (Corrupt, FormatVersionMismatch, config_from_text, config_text,
+                             load_container, save_container)
 from hdrs.dsp import downsample_4x
 from hdrs.loss import loss_total
 from hdrs.tensor import Tensor, backward
@@ -94,8 +95,27 @@ class TestConfigValidation:
         assert spans == [8, 22, 36, 50, 64]
 
     def test_round_trip_text_dict(self):
-        cfg = M.ModelConfig(hidden_ch=12, depth=4, variant="no_fusion")
-        assert M.ModelConfig.from_text_dict(cfg.to_text_dict()) == cfg
+        for variant in M.VARIANTS:
+            cfg = M.ModelConfig(hidden_ch=12, depth=4, variant=variant)
+            assert config_from_text(M.ModelConfig, "model", config_text(cfg, "model")) == cfg
+
+    def test_default_text_is_pinned(self):
+        """The checkpoint text of the default config, key order included."""
+        assert list(config_text(M.ModelConfig(), "model").items()) == [
+            ("model.hidden_ch", "48"), ("model.depth", "5"), ("model.kernel", "8"),
+            ("model.stride", "4"), ("model.resample_factor", "4"),
+            ("model.lstm_layers", "2"), ("model.refinement_dilations", "1,3,5,7,9"),
+            ("model.fusion_ch", "16"), ("model.variant", "hd_demucs"),
+            ("model.sample_rate", "16000")]
+
+    def test_text_reader_parses_annotations(self):
+        text = {"model.refinement_dilations": "1, 3,5", "model.depth": "3",
+                "model.variant": "no_fusion", "train.lr": "0.5"}
+        cfg = config_from_text(M.ModelConfig, "model", text)
+        assert cfg == M.ModelConfig(depth=3, refinement_dilations=(1, 3, 5),
+                                    variant="no_fusion")
+        with pytest.raises(ValueError, match="unknown key 'bogus'"):
+            config_from_text(M.ModelConfig, "model", {"model.bogus": "1"})
 
 
 class TestEncode:
@@ -518,10 +538,10 @@ class TestCheckpointContainer:
         cfg = tiny_cfg()
         params = M.init_params(cfg, 17, np.float32)
         path = tmp_path / "model.ckpt"
-        save_container(path, cfg.to_text_dict(),
+        save_container(path, config_text(cfg, "model"),
                        {k: v.data for k, v in params.items()})
         text, arrays = load_container(path)
-        assert M.ModelConfig.from_text_dict(text) == cfg
+        assert config_from_text(M.ModelConfig, "model", text) == cfg
         assert list(arrays) == list(params)
         for k in params:
             np.testing.assert_array_equal(arrays[k], params[k].data)
@@ -556,7 +576,7 @@ class TestCheckpointContainer:
         cfg = tiny_cfg()
         params = M.init_params(cfg, 17, np.float32)
         path = tmp_path / "model.ckpt"
-        save_container(path, cfg.to_text_dict(),
+        save_container(path, config_text(cfg, "model"),
                        {k: v.data for k, v in params.items()})
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
@@ -611,6 +631,21 @@ class TestCheckpointContainer:
         _, full_state, _, _ = load_checkpoint(path)
         assert list(full_state.m) == names
         assert all((m == 0.25).all() for m in full_state.m.values())
+
+    @pytest.mark.parametrize("name, arr", [("fusion.2.b", None),
+                                           ("enc.0.conv.b", np.zeros(1, np.float32))])
+    def test_bad_param_array_is_corrupt(self, tmp_path, name, arr):
+        """A parameter missing, or of a shape that would broadcast, is refused."""
+        from hdrs.train import load_checkpoint
+        _, _, path = self._training_checkpoint(tmp_path)
+        text, arrays = load_container(path)
+        if arr is None:
+            del arrays[name]
+        else:
+            arrays[name] = arr
+        save_container(path, text, arrays)
+        with pytest.raises(Corrupt, match=name):
+            load_checkpoint(path, moments=False)
 
     def test_flip_in_skipped_moment_is_corrupt(self, tmp_path):
         _, _, path = self._training_checkpoint(tmp_path)

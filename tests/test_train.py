@@ -5,6 +5,7 @@ import pytest
 
 from hdrs import simulate as S
 from hdrs import train as TR
+from hdrs.checkpoint import config_from_text, config_text
 from hdrs.model import ModelConfig, count_params, init_params
 from hdrs.tensor import Tensor
 from oracles import ref_adam_trace
@@ -186,7 +187,17 @@ class TestTrainLoop:
 
 def test_config_round_trip():
     cfg = tiny_train(total=9, warm=4, lr=0.002, grad_clip=1.5)
-    assert TR.TrainConfig.from_text_dict(cfg.to_text_dict()) == cfg
+    assert config_from_text(TR.TrainConfig, "train", config_text(cfg, "train")) == cfg
+
+
+def test_default_config_text_is_pinned():
+    """The checkpoint text of the default config, key order included."""
+    assert list(config_text(TR.TrainConfig(), "train").items()) == [
+        ("train.total_steps", "2000"), ("train.warm_phase_steps", "1000"),
+        ("train.lr", "0.0003"), ("train.lr_min", "0.0"), ("train.beta1", "0.9"),
+        ("train.beta2", "0.999"), ("train.eps", "1e-08"), ("train.batch_size", "4"),
+        ("train.segment_samples", "32000"), ("train.seed", "0"),
+        ("train.checkpoint_interval", "0"), ("train.grad_clip", "0.0")]
 
 
 def test_config_validation():
