@@ -21,6 +21,14 @@ class WavFormatError(ValueError):
     """Unsupported or malformed WAV content."""
 
 
+class EmptyInput(ValueError):
+    """A WAV or waveform without samples."""
+
+
+class SampleRateMismatch(ValueError):
+    """A WAV or manifest whose rate is not the one its reader expects."""
+
+
 @dataclass
 class AudioBuffer:
     samples: np.ndarray  # 1-D float array in [-1, 1]
@@ -35,7 +43,10 @@ class AudioBuffer:
         return len(self.samples)
 
 
-def read_wav(path) -> AudioBuffer:
+def read_wav(path, sample_rate: int) -> AudioBuffer:
+    """The mono PCM file at ``path`` as floats in [-1, 1]. A file whose rate
+    is not ``sample_rate`` raises ``SampleRateMismatch`` and one without
+    samples ``EmptyInput``, each naming the file."""
     try:
         with wave.open(str(path), "rb") as w:
             channels = w.getnchannels()
@@ -44,8 +55,12 @@ def read_wav(path) -> AudioBuffer:
             raw = w.readframes(w.getnframes())
     except (wave.Error, EOFError) as e:  # not RIFF/WAVE, or a truncated header
         raise WavFormatError(f"{path}: malformed WAV ({e or 'truncated'})") from e
+    if rate != sample_rate:
+        raise SampleRateMismatch(f"{path}: rate {rate} Hz, expected {sample_rate} Hz")
     if channels != 1:
         raise WavFormatError(f"{path}: expected mono, got {channels} channels")
+    if not raw:
+        raise EmptyInput(f"{path}: no samples")
     if width == 2:
         data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     elif width == 3:

@@ -1,10 +1,9 @@
 """Command-line interface wiring simulation, training, inference,
 evaluation, and self-verification over WAV files.
 
-Exit codes: 0 success, 2 I/O or configuration failure, 3 empty input,
-4 non-finite loss, 5 sample-rate mismatch, 1 failed verification. Unknown
-flags and unknown config keys are hard errors. Every effective config value
-is echoed at startup.
+A command raises on bad input and ``main`` picks the exit code from the
+error's class in ``EXIT_CODES``. Unknown flags and unknown config keys are
+hard errors. Every effective config value is echoed at startup.
 """
 
 from __future__ import annotations
@@ -18,20 +17,26 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import AudioBuffer, read_wav, write_wav
+from .audio import AudioBuffer, EmptyInput, SampleRateMismatch, read_wav, write_wav
 from .checkpoint import config_from_text, config_text
 from .dsp import StftConfig, stft_magnitude
 from .metrics import evaluate, write_report
-from .model import EmptyInput, ModelConfig, SampleRateMismatch, forward
-from .simulate import ManifestError, generate_corpus
-from .train import (ManifestEmpty, NonFiniteGradient, NonFiniteLoss, TrainConfig,
-                    load_checkpoint, train)
+from .model import ModelConfig, forward
+from .simulate import generate_corpus
+from .train import NonFiniteGradient, NonFiniteLoss, TrainConfig, load_checkpoint, train
 from .verify import dsp_suite, gradcheck_full_model, params_suite
 
-EXIT_IO = 2
-EXIT_EMPTY = 3
-EXIT_NONFINITE = 4
-EXIT_SAMPLE_RATE = 5
+# The exit code of each error a command raises, in every command; the first
+# class the error is an instance of wins, so the ValueError subclasses come
+# before ValueError. 0 is success and 1 a failed verification.
+EXIT_CODES = {
+    SampleRateMismatch: 5,
+    EmptyInput: 3,
+    NonFiniteLoss: 4,
+    NonFiniteGradient: 4,
+    OSError: 2,
+    ValueError: 2,
+}
 
 SPECTROGRAM_CFG = StftConfig(512, 128, 512)
 
@@ -102,22 +107,13 @@ def cmd_simulate(args) -> int:
     run.echo()
     missing = [k for k in ("subset", "split", "count") if k not in sim]
     if missing:
-        print(f"error: missing simulate settings: {missing}", file=sys.stderr)
-        return EXIT_IO
-    if sim["count"] <= 0:
-        print("error: --count must be positive", file=sys.stderr)
-        return EXIT_EMPTY
+        raise ValueError(f"missing simulate settings: {missing}")
     clean_dir = Path(args.clean_dir)
     if not clean_dir.is_dir():
-        print(f"error: clean dir not found: {clean_dir}", file=sys.stderr)
-        return EXIT_IO
-    wavs = sorted(clean_dir.glob("*.wav"))
-    if not wavs:
-        print(f"error: no WAV files in {clean_dir}", file=sys.stderr)
-        return EXIT_EMPTY
+        raise FileNotFoundError(f"clean dir not found: {clean_dir}")
     manifest, records = generate_corpus(
-        wavs, args.out_dir, sim["subset"], sim["split"], sim["seed"], sim["count"],
-        sr=run.model.sample_rate)
+        sorted(clean_dir.glob("*.wav")), args.out_dir, sim["subset"], sim["split"],
+        sim["seed"], sim["count"], sr=run.model.sample_rate)
     print(f"wrote {len(records)} distorted files; manifest: {manifest}")
     return 0
 
@@ -125,19 +121,8 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     run = load_run_config(args.config, args.set)
     run.echo()
-    manifest = Path(args.manifest)
-    if not manifest.is_file():
-        print(f"error: manifest not found: {manifest}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        _, state, _ = train(run.model, run.train, manifest, args.out,
-                            resume=args.resume, quiet=args.quiet)
-    except (NonFiniteLoss, NonFiniteGradient) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NONFINITE
-    except ManifestEmpty as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    _, state, _ = train(run.model, run.train, args.manifest, args.out,
+                        resume=args.resume, quiet=args.quiet)
     print(f"finished at step {state.step}; checkpoint: {Path(args.out) / 'final.ckpt'}")
     return 0
 
@@ -172,22 +157,14 @@ def cmd_restore(args) -> int:
     params, _, model_cfg, _ = load_checkpoint(args.ckpt, moments=False)
     src = Path(args.infile)
     files = sorted(src.glob("*.wav")) if src.is_dir() else [src]
-    if not files or not files[0].exists():
-        print(f"error: no input WAVs at {src}", file=sys.stderr)
-        return EXIT_EMPTY if src.is_dir() else EXIT_IO
+    if not files:
+        raise EmptyInput(f"no input WAVs in {src}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for f in files:
-        buf = read_wav(f)
-        try:
-            with T.no_grad():
-                trace = forward(buf, params, model_cfg)
-        except SampleRateMismatch as e:
-            print(f"error: {f}: {e}", file=sys.stderr)
-            return EXIT_SAMPLE_RATE
-        except EmptyInput as e:
-            print(f"error: {f}: {e}", file=sys.stderr)
-            return EXIT_EMPTY
+        buf = read_wav(f, model_cfg.sample_rate)
+        with T.no_grad():
+            trace = forward(buf.samples, params, model_cfg)
         n_clipped = write_wav(out_dir / f.name, AudioBuffer(trace.x_hat.data, buf.sample_rate))
         if args.dump_trace:
             _dump_trace(out_dir, f.stem, buf, trace, model_cfg.resample_factor)
@@ -198,11 +175,7 @@ def cmd_restore(args) -> int:
 def cmd_evaluate(args) -> int:
     params, _, model_cfg, _ = load_checkpoint(args.ckpt, moments=False)
     subset = None if args.subset == "all" else args.subset
-    try:
-        report = evaluate(args.manifest, params, model_cfg, subset)
-    except SampleRateMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SAMPLE_RATE
+    report = evaluate(args.manifest, params, model_cfg, subset)
     write_report(args.report, report)
     for tag in report.subsets():
         m = report.means(tag)
@@ -286,12 +259,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ManifestError as e:
+    except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (FileNotFoundError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import read_wav
+from .audio import SampleRateMismatch, read_wav
 from .dsp import stft_magnitude
 from .loss import STFT_RESOLUTIONS, LengthMismatch, loss_freq
-from .model import ModelConfig, SampleRateMismatch, forward
+from .model import ModelConfig, forward
 from .simulate import read_manifest
 from .tensor import Tensor
 
@@ -114,23 +114,21 @@ class EvalReport:
 def evaluate(manifest_path, params: dict, cfg: ModelConfig,
              subset: str | None = None) -> EvalReport:
     """Score every (clean, distorted) pair: the unprocessed input and the
-    restored output against the clean reference. A WAV whose rate is not
-    the manifest's raises ``SampleRateMismatch``."""
+    restored output against the clean reference. A manifest whose rate is
+    not the model's, or a WAV whose rate is not the manifest's, raises
+    ``SampleRateMismatch``."""
     sr, records = read_manifest(manifest_path)
     if subset is not None:
         records = [r for r in records if r.subset == subset]
     if not records:
         raise ValueError(f"manifest has no records for subset {subset!r}")
     if sr != cfg.sample_rate:
-        raise ValueError(f"manifest rate {sr} != model rate {cfg.sample_rate}")
+        raise SampleRateMismatch(
+            f"{manifest_path}: manifest rate {sr} != model rate {cfg.sample_rate}")
     rows = []
     for r in records:
-        clean, dist = read_wav(r.clean_path), read_wav(r.distorted_path)
-        for path, buf in ((r.clean_path, clean), (r.distorted_path, dist)):
-            if buf.sample_rate != sr:
-                raise SampleRateMismatch(
-                    f"{path}: rate {buf.sample_rate} != manifest rate {sr}")
-        clean, dist = clean.samples, dist.samples
+        clean = read_wav(r.clean_path, sr).samples
+        dist = read_wav(r.distorted_path, sr).samples
         with T.no_grad():
             restored = forward(dist.astype(np.float32), params, cfg).x_hat.data
         restored = restored.astype(np.float64)

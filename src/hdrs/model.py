@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .audio import AudioBuffer
+from .audio import EmptyInput
 from .dsp import downsample_4x, upsample_4x
 from .layers import Conv1dParams, LstmParams, conv1d, conv_transpose1d, glu, \
     lstm_forward, uniform_init
@@ -44,14 +44,6 @@ _WINDOW_BYTES = 15 << 20
 
 
 class InvalidLength(ValueError):
-    pass
-
-
-class EmptyInput(ValueError):
-    pass
-
-
-class SampleRateMismatch(ValueError):
     pass
 
 
@@ -362,7 +354,8 @@ def _windowed_core(h: Tensor, params: dict, cfg: ModelConfig, w_override, window
 
 def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) -> ForwardTrace:
     """Full restoration pass over a waveform [N] or a batch [B, N] of equal
-    length; output length always equals input length.
+    length, given as an array or a Tensor; output length always equals
+    input length.
 
     Every item is normalized by its own standard deviation. ``w_override``
     pins the fusion weight to a constant (the warm training phase runs the
@@ -376,11 +369,6 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) 
     one-pass output up to rounding. Resampling and normalisation stay
     whole-file. A recording forward runs in one pass.
     """
-    if isinstance(y, AudioBuffer):
-        if y.sample_rate != cfg.sample_rate:
-            raise SampleRateMismatch(
-                f"input at {y.sample_rate} Hz, model expects {cfg.sample_rate} Hz")
-        y = y.samples
     if isinstance(y, Tensor):
         x = y
     else:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, AudioBuffer, read_wav, write_wav
+from .audio import CANONICAL_RATE, AudioBuffer, EmptyInput, read_wav, write_wav
 from .dsp import convolve_full, design_butterworth, filter_apply
 
 SUBSETS = ("N", "R", "B", "A")
@@ -304,20 +304,19 @@ def derive_record_seed(corpus_seed: int, index: int) -> int:
 def generate_corpus(clean_paths: list, out_dir, subset: str, split: str,
                     seed: int, count: int, sr: int = CANONICAL_RATE):
     """Distort ``count`` utterances (cycling through the clean list) and
-    write WAVs plus a manifest; fully determined by ``seed``."""
+    write WAVs plus a manifest; fully determined by ``seed``. A count below
+    one or an empty clean list raises ``EmptyInput``."""
     if count <= 0:
-        raise ValueError("count must be positive")
+        raise EmptyInput("count must be positive")
     if not clean_paths:
-        raise ValueError("no clean files supplied")
+        raise EmptyInput("no clean files supplied")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clean_paths = sorted(str(p) for p in clean_paths)
     records = []
     for i in range(count):
         clean_path = clean_paths[i % len(clean_paths)]
-        clean = read_wav(clean_path)
-        if clean.sample_rate != sr:
-            raise ManifestError(f"{clean_path}: expected {sr} Hz, got {clean.sample_rate}")
+        clean = read_wav(clean_path, sr)
         rseed = derive_record_seed(seed, i)
         spec = sample_spec(subset, split, rseed, sr)
         noise = record_noise(spec, len(clean), sr)

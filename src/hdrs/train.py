@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import read_wav
+from .audio import SampleRateMismatch, read_wav
 from .checkpoint import Corrupt, config_from_text, config_text, load_container, \
     save_container
 from .loss import loss_total
@@ -146,9 +146,9 @@ def load_checkpoint(path, moments: bool = True):
     zeros for inference-only checkpoints. With ``moments=False`` the Adam
     moments are not read and ``state.m``/``state.v`` stay empty.
 
-    Config text missing a ``model.*`` or ``train.*`` key, naming an unknown
-    one or holding an invalid value, and a parameter missing or of the
-    wrong shape, raise ``Corrupt``."""
+    Config text missing a ``state.*``, ``model.*`` or ``train.*`` key,
+    naming an unknown one or holding an invalid value, and a parameter
+    missing or of the wrong shape, raise ``Corrupt``."""
     text, arrays = load_container(
         path, None if moments else lambda name: not name.startswith("adam."))
     try:
@@ -156,7 +156,8 @@ def load_checkpoint(path, moments: bool = True):
         train_cfg = config_from_text(TrainConfig, "train", text)
     except ValueError as e:
         raise Corrupt(f"{path}: bad config text ({e})") from None
-    missing = (config_text(model_cfg, "model").keys()
+    missing = ({"state.step", "state.phase", "state.seed"}
+               | config_text(model_cfg, "model").keys()
                | config_text(train_cfg, "train").keys()) - text.keys()
     if missing:
         raise Corrupt(f"{path}: config text lacks {sorted(missing)}")
@@ -166,9 +167,8 @@ def load_checkpoint(path, moments: bool = True):
             got = arrays[name].shape if name in arrays else "missing"
             raise Corrupt(f"{path}: parameter {name} is {got}, expected shape {shape}")
         params[name] = Tensor(arrays[name], requires_grad=True, dtype=np.float32)
-    state = TrainState(step=int(text.get("state.step", "0")),
-                       phase=text.get("state.phase", "warm"),
-                       seed=int(text.get("state.seed", "0")))
+    state = TrainState(step=int(text["state.step"]), phase=text["state.phase"],
+                       seed=int(text["state.seed"]))
     if moments:
         for name, p in params.items():
             for store, key in ((state.m, f"adam.m.{name}"), (state.v, f"adam.v.{name}")):
@@ -188,11 +188,12 @@ class _Corpus:
         if not records:
             raise ManifestEmpty(f"{manifest_path} lists no records")
         if sr != expected_sr:
-            raise ValueError(f"manifest rate {sr} != model rate {expected_sr}")
+            raise SampleRateMismatch(
+                f"{manifest_path}: manifest rate {sr} != model rate {expected_sr}")
         self.pairs = []
         for r in records:
-            clean = read_wav(r.clean_path)
-            dist = read_wav(r.distorted_path)
+            clean = read_wav(r.clean_path, sr)
+            dist = read_wav(r.distorted_path, sr)
             self.pairs.append((clean.samples.astype(np.float32),
                                dist.samples.astype(np.float32)))
 
@@ -263,9 +264,9 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, manifest_path,
     Writes ``metrics.log`` (tab-separated: step, phase, lr, l_time, l_freq,
     total) and periodic plus final checkpoints under ``out_dir``.
     """
+    corpus = _Corpus(manifest_path, model_cfg.sample_rate)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = _Corpus(manifest_path, model_cfg.sample_rate)
 
     if resume is not None:
         params, state, ckpt_model_cfg, ckpt_train_cfg = load_checkpoint(resume)

@@ -174,7 +174,7 @@ def test_criterion_6_distortion_simulator(tmp_path):
     _, records = S.read_manifest(manifest)
     regen_ok = True
     for r in records:
-        clean = read_wav(r.clean_path)
+        clean = read_wav(r.clean_path, SR)
         spec = r.spec(SR)
         redone, gain = S.apply_distortion(clean, spec, S.record_noise(spec, len(clean), SR))
         rebuilt = tmp_path / "rebuilt.wav"
@@ -222,8 +222,8 @@ def test_criterion_7_training_protocol(tmp_path):
 
     improvements = []
     for r in records:
-        clean = read_wav(r.clean_path).samples
-        dist = read_wav(r.distorted_path).samples
+        clean = read_wav(r.clean_path, SR).samples
+        dist = read_wav(r.distorted_path, SR).samples
         with T.no_grad():
             out = forward(dist.astype(np.float32), params, mcfg).x_hat.data
         improvements.append(si_sdr(clean, out.astype(np.float64))

@@ -6,7 +6,8 @@ import wave
 import numpy as np
 import pytest
 
-from hdrs.audio import AudioBuffer, WavFormatError, read_wav, write_wav
+from hdrs.audio import (AudioBuffer, EmptyInput, SampleRateMismatch, WavFormatError, read_wav,
+                        write_wav)
 
 
 def test_pcm16_round_trip(tmp_path):
@@ -14,7 +15,7 @@ def test_pcm16_round_trip(tmp_path):
     x = np.clip(rng.standard_normal(1000) * 0.3, -1, 1)
     p = tmp_path / "a.wav"
     write_wav(p, AudioBuffer(x, 16000))
-    back = read_wav(p)
+    back = read_wav(p, 16000)
     assert back.sample_rate == 16000
     assert len(back) == 1000
     assert np.max(np.abs(back.samples - x)) < 1.0 / 32768
@@ -36,7 +37,7 @@ def test_pcm24_reader(tmp_path):
         w.setsampwidth(3)
         w.setframerate(16000)
         w.writeframes(raw)
-    back = read_wav(p)
+    back = read_wav(p, 16000)
     np.testing.assert_allclose(back.samples, vals, atol=1e-6)
 
 
@@ -48,7 +49,22 @@ def test_rejects_stereo(tmp_path):
         w.setframerate(16000)
         w.writeframes(b"\x00\x00" * 8)
     with pytest.raises(WavFormatError):
-        read_wav(p)
+        read_wav(p, 16000)
+
+
+def test_sample_rate_mismatch(tmp_path):
+    p = tmp_path / "8k.wav"
+    write_wav(p, AudioBuffer(np.zeros(100), 8000))
+    with pytest.raises(SampleRateMismatch, match="8k.wav"):
+        read_wav(p, 16000)
+    assert read_wav(p, 8000).sample_rate == 8000
+
+
+def test_rejects_empty(tmp_path):
+    p = tmp_path / "empty.wav"
+    write_wav(p, AudioBuffer(np.zeros(0), 16000))
+    with pytest.raises(EmptyInput, match="empty.wav"):
+        read_wav(p, 16000)
 
 
 def test_rejects_2d_samples():

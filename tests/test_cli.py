@@ -1,13 +1,14 @@
 """CLI contracts: flags, exit codes, file outputs."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hdrs.audio import read_wav
-from hdrs.cli import build_parser, load_run_config, main
+from hdrs.cli import EXIT_CODES, build_parser, load_run_config, main
 from hdrs.simulate import SUBSET_B_TEST_CUTOFFS_HZ, read_manifest, write_manifest
 from synth import make_clean_dir
 
@@ -146,8 +147,8 @@ class TestRestore:
                      "--in", str(workspace / "clean"), "--out", str(out)]) == 0
         names = sorted(p.name for p in out.glob("*.wav"))
         assert names == ["clean00.wav", "clean01.wav"]
-        a = read_wav(workspace / "clean" / "clean00.wav")
-        b = read_wav(out / "clean00.wav")
+        a = read_wav(workspace / "clean" / "clean00.wav", 16000)
+        b = read_wav(out / "clean00.wav", 16000)
         assert len(a) == len(b)
         lines = capsys.readouterr().out.splitlines()
         assert f"restored clean00.wav ({len(a)} samples, 0 clipped)" in lines
@@ -157,7 +158,7 @@ class TestRestore:
         from hdrs.train import load_checkpoint
         ckpt = str(workspace / "run" / "final.ckpt")
         _, _, cfg, _ = load_checkpoint(ckpt, moments=False)
-        clip = read_wav(workspace / "clean" / "clean00.wav")
+        clip = read_wav(workspace / "clean" / "clean00.wav", 16000)
         n = len(clip) - 3
         # the model pads this input, so the trim is exercised
         assert n % cfg.stride ** cfg.depth
@@ -166,14 +167,14 @@ class TestRestore:
         out = tmp_path / "traced"
         assert main(["restore", "--ckpt", ckpt, "--in", str(src),
                      "--out", str(out), "--dump-trace"]) == 0
-        mask = read_wav(out / "odd.mask.wav").samples
+        mask = read_wav(out / "odd.mask.wav", 4 * 16000).samples
         assert mask.min() >= 0.0 and mask.max() <= 1.0
         for suffix in ("w.wav", "refined.wav", "in.pgm", "out.pgm"):
             assert (out / f"odd.{suffix}").exists()
         # the branch signals run at the 4x model rate, trimmed to the input
-        assert len(read_wav(out / "odd.wav")) == n
+        assert len(read_wav(out / "odd.wav", 16000)) == n
         for name in ("mask", "w", "refined"):
-            sig = read_wav(out / f"odd.{name}.wav")
+            sig = read_wav(out / f"odd.{name}.wav", 4 * 16000)
             assert sig.sample_rate == 4 * 16000
             assert len(sig) == 4 * n
         header = (out / "odd.in.pgm").read_bytes()[:2]
@@ -186,7 +187,7 @@ class TestRestore:
         being equal."""
         from hdrs import model
         from hdrs.audio import AudioBuffer, write_wav
-        clip = read_wav(workspace / "clean" / "clean00.wav")
+        clip = read_wav(workspace / "clean" / "clean00.wav", 16000)
         n = len(clip) - 1  # not a multiple of the model's 16-sample pad
         src = tmp_path / "odd.wav"
         write_wav(src, AudioBuffer(clip.samples[:n], clip.sample_rate))
@@ -204,7 +205,8 @@ class TestRestore:
             assert len(calls) == windows
         for name, length in (("wav", n), ("mask.wav", 4 * n), ("w.wav", 4 * n),
                              ("refined.wav", 4 * n)):
-            one, windowed = (read_wav(tmp_path / tag / f"odd.{name}").samples
+            rate = 16000 * length // n  # the 4x branch signals run at 4x the rate
+            one, windowed = (read_wav(tmp_path / tag / f"odd.{name}", rate).samples
                              for tag in ("one", "windows"))
             assert len(one) == len(windowed) == length, name
             assert np.max(np.abs(one - windowed)) <= 1e-15 * np.max(np.abs(one)), name
@@ -248,6 +250,19 @@ class TestRestore:
         assert main(["restore", "--ckpt", str(bad), "--in", str(workspace / "clean"),
                      "--out", str(tmp_path / "o")]) == 2
         assert ("foo" if edit == "stray_key" else "model.fusion_ch") in capsys.readouterr().err
+
+    def test_checkpoint_without_state_step_exits_2(self, workspace, tmp_path, capsys):
+        from hdrs.checkpoint import Corrupt, load_container, save_container
+        from hdrs.train import load_checkpoint
+        text, arrays = load_container(workspace / "run" / "final.ckpt")
+        del text["state.step"]
+        bad = tmp_path / "bad.ckpt"
+        save_container(bad, text, arrays)
+        with pytest.raises(Corrupt, match="state.step"):
+            load_checkpoint(bad)
+        assert main(["restore", "--ckpt", str(bad), "--in", str(workspace / "clean"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "state.step" in capsys.readouterr().err
 
     def test_moments_do_not_change_restored_bytes(self, workspace, tmp_path):
         from hdrs.checkpoint import load_container, save_container
@@ -300,7 +315,7 @@ class TestEvaluate:
         from hdrs.audio import AudioBuffer, write_wav
         sr, records = read_manifest(workspace / "corpus" / "manifest.tsv")
         wrong = tmp_path / "wrong.wav"
-        write_wav(wrong, AudioBuffer(read_wav(records[0].distorted_path).samples, 8000))
+        write_wav(wrong, AudioBuffer(read_wav(records[0].distorted_path, sr).samples, 8000))
         manifest = tmp_path / "wrong.tsv"
         write_manifest(manifest, [dataclasses.replace(records[0], distorted_path=str(wrong))],
                        sr)
@@ -315,6 +330,42 @@ class TestEvaluate:
                      "--manifest", str(bad), "--report", str(tmp_path / "r.tsv")])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+
+class TestInputContract:
+    """An input error exits with one code whichever command reads it."""
+
+    @pytest.mark.parametrize("command,fault,code", [
+        ("simulate", "wav_rate", 5), ("train", "wav_rate", 5),
+        ("train", "manifest_rate", 5), ("evaluate", "manifest_rate", 5),
+        ("simulate", "empty_wav", 3), ("train", "empty_wav", 3),
+        ("evaluate", "empty_wav", 3)])
+    def test_exit_code(self, workspace, tmp_path, capsys, command, fault, code):
+        from hdrs.audio import AudioBuffer, write_wav
+        sr, records = read_manifest(workspace / "corpus" / "manifest.tsv")
+        samples = read_wav(records[0].distorted_path, sr).samples
+        bad = tmp_path / "in" / "bad.wav"
+        write_wav(bad, AudioBuffer(samples[:0] if fault == "empty_wav" else samples,
+                                   8000 if fault == "wav_rate" else sr))
+        manifest = tmp_path / "bad.tsv"
+        write_manifest(manifest, [dataclasses.replace(records[0], distorted_path=str(bad))],
+                       8000 if fault == "manifest_rate" else sr)
+        argv = {
+            "simulate": ["--clean-dir", str(bad.parent), "--out-dir", str(tmp_path / "o"),
+                         "--subset", "N", "--split", "train", "--seed", "1", "--count", "1"],
+            "train": ["--config", str(workspace / "run.ini"), "--quiet",
+                      "--manifest", str(manifest), "--out", str(tmp_path / "o")],
+            "evaluate": ["--ckpt", str(workspace / "run" / "final.ckpt"),
+                         "--manifest", str(manifest), "--report", str(tmp_path / "r.tsv")],
+        }[command]
+        assert main([command] + argv) == code
+        assert (manifest if fault == "manifest_rate" else bad).name in capsys.readouterr().err
+
+    def test_readme_lists_every_exit_code(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+        listed = {int(c) for c in re.findall(r"`(\d+)`", paragraph)}
+        assert listed == {0, 1} | set(EXIT_CODES.values())
 
 
 class TestVerify:

@@ -213,13 +213,6 @@ class TestForward:
         with pytest.raises(M.EmptyInput):
             M.forward(np.zeros(0), params, cfg)
 
-    def test_sample_rate_mismatch(self):
-        from hdrs.audio import AudioBuffer
-        cfg = tiny_cfg(hidden=2, depth=2)
-        params = M.init_params(cfg, 0)
-        with pytest.raises(M.SampleRateMismatch):
-            M.forward(AudioBuffer(np.zeros(100), 8000), params, cfg)
-
     def test_no_fusion_equals_bypassed_fusion(self):
         # direct construction: same decoder weights, fused path pinned at 0.5
         hd_cfg = tiny_cfg("hd_demucs", hidden=2, depth=3)

@@ -224,7 +224,7 @@ class TestCorpus:
                                         seed=25, count=2)
         _, records = S.read_manifest(manifest)
         for r in records:
-            x = read_wav(r.clean_path)
+            x = read_wav(r.clean_path, SR)
             spec = r.spec(SR)
             noise = S.record_noise(spec, len(x), SR)
             redone, gain = S.apply_distortion(x, spec, noise)
@@ -239,5 +239,5 @@ class TestCorpus:
         _, records = S.generate_corpus(clean, tmp_path / "out", "A", "train",
                                        seed=27, count=4)
         for r in records:
-            s = read_wav(r.distorted_path).samples
+            s = read_wav(r.distorted_path, SR).samples
             assert np.max(np.abs(s)) <= 1.0
