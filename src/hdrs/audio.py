@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 CANONICAL_RATE = 16000
+_WRITE_BLOCK = 1 << 16  # samples converted to 16-bit PCM at a time
 
 
 class WavFormatError(ValueError):
@@ -77,11 +78,15 @@ def read_wav(path, sample_rate: int) -> AudioBuffer:
 
 def write_wav(path, buf: AudioBuffer) -> int:
     """Write 16-bit PCM; returns how many samples lay outside [-1, 1] and
-    were clipped."""
-    samples = np.asarray(buf.samples, dtype=np.float64)
-    n_clipped = int(np.count_nonzero(np.abs(samples) > 1.0))
-    clipped = np.clip(samples, -1.0, 1.0)
-    ints = np.clip(np.rint(clipped * 32768.0), -32768, 32767).astype("<i2")
+    were clipped. Converts ``_WRITE_BLOCK`` samples at a time, so its
+    temporaries do not grow with the file."""
+    ints = np.empty(len(buf), "<i2")
+    n_clipped = 0
+    for s in range(0, len(buf), _WRITE_BLOCK):
+        block = np.asarray(buf.samples[s:s + _WRITE_BLOCK], dtype=np.float64)
+        n_clipped += int(np.count_nonzero(np.abs(block) > 1.0))
+        ints[s:s + _WRITE_BLOCK] = np.clip(np.rint(np.clip(block, -1.0, 1.0) * 32768.0),
+                                           -32768, 32767)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)

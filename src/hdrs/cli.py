@@ -161,10 +161,14 @@ def cmd_restore(args) -> int:
         raise EmptyInput(f"no input WAVs in {src}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # forward casts its input to the parameters' dtype; casting as each file is
+    # read frees the float64 samples before the forward instead of after it
+    dtype = next(iter(params.values())).dtype
     for f in files:
         buf = read_wav(f, model_cfg.sample_rate)
+        buf.samples = buf.samples.astype(dtype)
         with T.no_grad():
-            trace = forward(buf.samples, params, model_cfg)
+            trace = forward(buf.samples, params, model_cfg, trace=args.dump_trace)
         n_clipped = write_wav(out_dir / f.name, AudioBuffer(trace.x_hat.data, buf.sample_rate))
         if args.dump_trace:
             _dump_trace(out_dir, f.stem, buf, trace, model_cfg.resample_factor)
@@ -239,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--in", dest="infile", required=True, help="input WAV or directory")
     rp.add_argument("--out", required=True, help="output directory")
     rp.add_argument("--dump-trace", action="store_true",
-                    help="also write mask/w/refined WAVs and PGM spectrograms")
+                    help="also write mask/w/refined WAVs and PGM spectrograms "
+                         "(keeps these 4x-rate signals for the whole file in memory)")
     rp.set_defaults(fn=cmd_restore)
 
     ep = sub.add_parser("evaluate", help="score restored outputs against references")

@@ -117,7 +117,7 @@ def stft_magnitude(x, cfg: StftConfig) -> Tensor:
     frames = sliding_window_view(data, cfg.window_len, axis=-1)[..., ::cfg.hop, :]
     n_frames = frames.shape[-2]
     spec = fft(frames * win, cfg.fft_bins)
-    mag = np.abs(spec).astype(x.dtype)
+    mag = np.abs(spec).astype(x.dtype, copy=False)
 
     def backward(g):
         # d|X_k|/dx_n = Re(X_k e^{i w_k n}) / |X_k|, summed over the one-sided
@@ -288,6 +288,9 @@ def filter_apply(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
 RESAMPLE_FACTOR = 4
 _ZERO_CROSSINGS = 16
 _HALF = RESAMPLE_FACTOR * _ZERO_CROSSINGS  # kernel half-width in high-rate taps
+# Low-rate samples either resampler reads past each side of an output sample:
+# interpolation 16 inputs, decimation 64 high-rate taps.
+RESAMPLE_HALO = _ZERO_CROSSINGS
 _TAPS = 2 * _HALF + 1
 # Window rows per product in _interpolate: numpy copies strided windows whole
 # before a matrix-matrix product (not _decimate's matrix-vector one), 42 MB in

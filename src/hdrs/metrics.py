@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import SampleRateMismatch, read_wav
+from .audio import SampleRateMismatch
 from .dsp import stft_magnitude
 from .loss import STFT_RESOLUTIONS, LengthMismatch, loss_freq
 from .model import ModelConfig, forward
-from .simulate import read_manifest
+from .simulate import read_manifest, read_pair
 from .tensor import Tensor
 
 SI_SDR_CAP_DB = 100.0
@@ -116,7 +116,7 @@ def evaluate(manifest_path, params: dict, cfg: ModelConfig,
     """Score every (clean, distorted) pair: the unprocessed input and the
     restored output against the clean reference. A manifest whose rate is
     not the model's, or a WAV whose rate is not the manifest's, raises
-    ``SampleRateMismatch``."""
+    ``SampleRateMismatch``; a pair of unequal lengths ``LengthMismatch``."""
     sr, records = read_manifest(manifest_path)
     if subset is not None:
         records = [r for r in records if r.subset == subset]
@@ -127,8 +127,7 @@ def evaluate(manifest_path, params: dict, cfg: ModelConfig,
             f"{manifest_path}: manifest rate {sr} != model rate {cfg.sample_rate}")
     rows = []
     for r in records:
-        clean = read_wav(r.clean_path, sr).samples
-        dist = read_wav(r.distorted_path, sr).samples
+        clean, dist = read_pair(r, sr)
         with T.no_grad():
             restored = forward(dist.astype(np.float32), params, cfg).x_hat.data
         restored = restored.astype(np.float64)

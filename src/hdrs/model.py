@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .audio import EmptyInput
-from .dsp import downsample_4x, upsample_4x
+from .dsp import RESAMPLE_FACTOR, RESAMPLE_HALO, downsample_4x, upsample_4x
 from .layers import Conv1dParams, LstmParams, conv1d, conv_transpose1d, glu, \
     lstm_forward, uniform_init
 from .tensor import Tensor
@@ -92,9 +92,9 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
-    y_up: Tensor
-    x_hat_up: Tensor
     x_hat: Tensor
+    y_up: Tensor | None = None
+    x_hat_up: Tensor | None = None
     mask: Tensor | None = None
     refined: Tensor | None = None
     w: Tensor | None = None
@@ -328,12 +328,21 @@ def _core(h: Tensor, params: dict, cfg: ModelConfig, w_override, carry=None) -> 
     return out2, mask2, refined2, w2
 
 
-def _windowed_core(h: Tensor, params: dict, cfg: ModelConfig, w_override, window: int) -> tuple:
-    """``_core`` run window by window with the LSTM state carried across,
-    each window's slice widened by a halo; returns the cores stitched."""
-    f = cfg.stride ** cfg.depth
-    total = h.shape[-1] // f
+def _windowed_forward(x: Tensor, sigma: Tensor, params: dict, cfg: ModelConfig, w_override,
+                      window: int, trace: bool) -> ForwardTrace:
+    """``forward`` run window by window from the raw input ``x``, with the
+    LSTM state carried across. Each window normalises and upsamples its own
+    slice, widened by the frame halo and the resampler's, and decimates its
+    core into ``x_hat``, carrying over the upsampled samples the decimator
+    reads past the window's end. Only ``trace`` stitches the 4x-rate arrays."""
+    f, r, halo = cfg.stride ** cfg.depth, RESAMPLE_FACTOR, RESAMPLE_HALO
+    n, lead = x.shape[-1], x.shape[:-1]
+    total = r * -(-n // f)  # bottleneck frames in the padded, upsampled input
     enc, dec = halo_frames(cfg)
+    scale = (sigma + STD_FLOOR).data
+    x_hat = np.empty(x.shape, x.dtype)
+    # tail: upsampled output from sample r * (done - halo) on, not yet decimated
+    done, tail = 0, np.zeros(lead + (r * halo,), x.dtype)
     state, stitched = [], None
     for a in range(0, total, window):
         b = min(a + window, total)
@@ -343,16 +352,36 @@ def _windowed_core(h: Tensor, params: dict, cfg: ModelConfig, w_override, window
         # so the encoder's zero padding at its ends never reaches that span.
         lo, hi = max(a - enc - dec, 0), min(b + enc + dec, total)
         carry = (state, max(a - dec, 0) - lo, max(b - dec, 0) - lo, min(b + dec, total) - lo)
-        outs = _core(T.narrow(h, -1, lo * f, (hi - lo) * f), params, cfg, w_override, carry)
-        if stitched is None:
-            stitched = [None if o is None else np.empty(h.shape, o.dtype) for o in outs]
-        for full, o in zip(stitched, outs):
-            if o is not None:
-                full[..., a * f:b * f] = o.data[..., (a - lo) * f:(b - lo) * f]
-    return tuple(None if full is None else Tensor(full) for full in stitched)
+        # input samples [m0, m1), zero outside [0, n): their upsampling is exact
+        # on frames [lo, hi), which lie halo samples inside either end
+        m0, m1 = lo * f // r - halo, -(-hi * f // r) + halo
+        seg = np.zeros(lead + (m1 - m0,), x.dtype)
+        seg[..., max(m0, 0) - m0:min(m1, n) - m0] = x.data[..., max(m0, 0):min(m1, n)] / scale
+        up = upsample_4x(seg).data[..., lo * f - r * m0:hi * f - r * m0]
+        h = Tensor(np.ascontiguousarray(up.reshape(lead + (1, -1))))
+        outs = (h,) + _core(h, params, cfg, w_override, carry)
+        core = outs[1].data[..., 0, (a - lo) * f:(b - lo) * f]
+        last = [np.zeros(lead + (r * halo,), x.dtype)] if b == total else []
+        tail = np.concatenate([tail, core] + last, axis=-1)
+        new = tail.shape[-1] // r - 2 * halo
+        stop = min(done + new, n)
+        x_hat[..., done:stop] = downsample_4x(tail[..., :r * (new + 2 * halo)]).data[
+            ..., halo:halo + stop - done] * sigma.data
+        done, tail = done + new, tail[..., r * new:]
+        if trace:
+            if stitched is None:
+                stitched = [None if o is None else np.empty(lead + (total * f,), o.dtype)
+                            for o in outs]
+            for full, o in zip(stitched, outs):
+                if o is not None:
+                    full[..., a * f:b * f] = o.data[..., 0, (a - lo) * f:(b - lo) * f]
+    # stitched follows outs: y_up, x_hat_up, mask, refined, w
+    arrays = [None if full is None else Tensor(full) for full in stitched or [None] * 5]
+    return ForwardTrace(Tensor(x_hat), *arrays)
 
 
-def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) -> ForwardTrace:
+def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None,
+            trace: bool = False) -> ForwardTrace:
     """Full restoration pass over a waveform [N] or a batch [B, N] of equal
     length, given as an array or a Tensor; output length always equals
     input length.
@@ -363,11 +392,16 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) 
 
     Under ``no_grad()`` an input longer than one window (``_WINDOW_BYTES``
     of its widest activation, ``frame_width``) runs in consecutive windows
-    of whole bottleneck frames. Each window's slice of the upsampled input
-    reaches ``sum(halo_frames)`` frames past its ends, and the LSTM carries
-    its state from one window to the next, so the output matches the
-    one-pass output up to rounding. Resampling and normalisation stay
-    whole-file. A recording forward runs in one pass.
+    of whole bottleneck frames, so its memory does not grow with its length
+    beyond the input and ``x_hat``. Each window normalises and upsamples its
+    own slice of the input, which reaches ``sum(halo_frames)`` frames and
+    the resampler's ``RESAMPLE_HALO`` samples past its ends; the LSTM
+    carries its state from one window to the next, and the decimator the
+    upsampled samples it reads across the boundary. The output matches the
+    one-pass output up to rounding. Such a forward returns ``x_hat`` alone
+    unless ``trace`` asks it to stitch ``y_up``, ``x_hat_up``, ``mask``,
+    ``refined`` and ``w`` as well. A recording forward and a one-window
+    input run in one pass and always return every trace array.
     """
     if isinstance(y, Tensor):
         x = y
@@ -379,27 +413,25 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None) 
         raise EmptyInput("empty waveform")
 
     sigma = T.std(x, -1, keepdims=True)
-    xn = x / (sigma + STD_FLOOR)
     mult = cfg.stride ** cfg.depth
-    pad = (-n) % mult
-    if pad:
-        xn = T.pad_axis(xn, -1, 0, pad)
+    padded = n + (-n) % mult
+    # in bottleneck frames, each of mult upsampled samples
+    window = max(1, _WINDOW_BYTES // (4 * frame_width(cfg)))
+    if not T.grad_enabled() and RESAMPLE_FACTOR * padded > window * mult:
+        return _windowed_forward(x, sigma, params, cfg, w_override, window, trace)
+
+    xn = x / (sigma + STD_FLOOR)
+    if padded > n:
+        xn = T.pad_axis(xn, -1, 0, padded - n)
     y_up = upsample_4x(xn)
     # one input channel: [..., L_up] -> [..., 1, L_up]
     h = T.reshape(y_up, y_up.shape[:-1] + (1, y_up.shape[-1]))
-
-    # in bottleneck frames, each of mult upsampled samples
-    window = max(1, _WINDOW_BYTES // (4 * frame_width(cfg)))
-    if T.grad_enabled() or h.shape[-1] <= window * mult:
-        out2, mask2, refined2, w2 = _core(h, params, cfg, w_override)
-    else:
-        out2, mask2, refined2, w2 = _windowed_core(h, params, cfg, w_override, window)
-
+    out2, mask2, refined2, w2 = _core(h, params, cfg, w_override)
     x_hat_up = T.reshape(out2, y_up.shape)
     x_hat = T.narrow(downsample_4x(x_hat_up), -1, 0, n) * sigma
 
     def squeeze(t2):
         return None if t2 is None else T.reshape(t2, y_up.shape)
 
-    return ForwardTrace(y_up=y_up, x_hat_up=x_hat_up, x_hat=x_hat,
+    return ForwardTrace(x_hat=x_hat, y_up=y_up, x_hat_up=x_hat_up,
                         mask=squeeze(mask2), refined=squeeze(refined2), w=squeeze(w2))

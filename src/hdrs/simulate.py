@@ -16,6 +16,7 @@ import numpy as np
 
 from .audio import CANONICAL_RATE, AudioBuffer, EmptyInput, read_wav, write_wav
 from .dsp import convolve_full, design_butterworth, filter_apply
+from .loss import LengthMismatch
 
 SUBSETS = ("N", "R", "B", "A")
 TRAIN_SNRS_DB = (0.0, 5.0, 10.0, 15.0)
@@ -295,6 +296,17 @@ def read_manifest(path):
         except (ValueError, IndexError) as e:
             raise ManifestError(f"{path}: line {lineno}: {e}") from None
     return sr, records
+
+
+def read_pair(record: ManifestRecord, sr: int) -> tuple:
+    """A record's (clean, distorted) samples, read at rate ``sr``; a pair of
+    unequal lengths raises ``LengthMismatch`` naming both files."""
+    clean = read_wav(record.clean_path, sr).samples
+    dist = read_wav(record.distorted_path, sr).samples
+    if len(clean) != len(dist):
+        raise LengthMismatch(f"{record.clean_path} has {len(clean)} samples but "
+                             f"{record.distorted_path} has {len(dist)}")
+    return clean, dist
 
 
 def derive_record_seed(corpus_seed: int, index: int) -> int:

@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import SampleRateMismatch, read_wav
+from .audio import SampleRateMismatch
 from .checkpoint import Corrupt, config_from_text, config_text, load_container, \
     save_container
 from .loss import loss_total
 from .model import ModelConfig, forward, init_params, param_shapes
-from .simulate import read_manifest
+from .simulate import read_manifest, read_pair
 from .tensor import Tensor
 
 
@@ -192,10 +192,8 @@ class _Corpus:
                 f"{manifest_path}: manifest rate {sr} != model rate {expected_sr}")
         self.pairs = []
         for r in records:
-            clean = read_wav(r.clean_path, sr)
-            dist = read_wav(r.distorted_path, sr)
-            self.pairs.append((clean.samples.astype(np.float32),
-                               dist.samples.astype(np.float32)))
+            clean, dist = read_pair(r, sr)
+            self.pairs.append((clean.astype(np.float32), dist.astype(np.float32)))
 
     def __len__(self):
         return len(self.pairs)

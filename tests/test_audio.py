@@ -79,3 +79,22 @@ def test_write_counts_clipped_samples(tmp_path):
     assert write_wav(tmp_path / "in.wav", AudioBuffer(np.clip(x, -1, 1), 16000)) == 0
     # counting leaves the written bytes as they were
     assert (tmp_path / "over.wav").read_bytes() == (tmp_path / "in.wav").read_bytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_write_blocks_match_whole_file_conversion(tmp_path, monkeypatch, dtype):
+    """Blockwise conversion writes the bytes and counts the clipped samples
+    of the whole-file expression, across block edges and a short last block."""
+    import hdrs.audio
+    monkeypatch.setattr(hdrs.audio, "_WRITE_BLOCK", 1000)
+    rng = np.random.default_rng(3)
+    x = (rng.standard_normal(4321) * 0.6).astype(dtype)
+    x[[0, 999, 1000, 4320]] = [1.5, -1.0, -3.0, 1.0 + 1e-6]
+    samples = np.asarray(x, dtype=np.float64)
+    want_clipped = int(np.count_nonzero(np.abs(samples) > 1.0))
+    want = np.clip(np.rint(np.clip(samples, -1.0, 1.0) * 32768.0), -32768, 32767).astype("<i2")
+    assert want_clipped > 3
+    p = tmp_path / "blocks.wav"
+    assert write_wav(p, AudioBuffer(x, 16000)) == want_clipped
+    with wave.open(str(p), "rb") as w:
+        assert w.readframes(w.getnframes()) == want.tobytes()

@@ -339,14 +339,15 @@ class TestInputContract:
         ("simulate", "wav_rate", 5), ("train", "wav_rate", 5),
         ("train", "manifest_rate", 5), ("evaluate", "manifest_rate", 5),
         ("simulate", "empty_wav", 3), ("train", "empty_wav", 3),
-        ("evaluate", "empty_wav", 3)])
+        ("evaluate", "empty_wav", 3), ("train", "short_wav", 2),
+        ("evaluate", "short_wav", 2)])
     def test_exit_code(self, workspace, tmp_path, capsys, command, fault, code):
         from hdrs.audio import AudioBuffer, write_wav
         sr, records = read_manifest(workspace / "corpus" / "manifest.tsv")
         samples = read_wav(records[0].distorted_path, sr).samples
         bad = tmp_path / "in" / "bad.wav"
-        write_wav(bad, AudioBuffer(samples[:0] if fault == "empty_wav" else samples,
-                                   8000 if fault == "wav_rate" else sr))
+        cut = {"empty_wav": 0, "short_wav": 3 * len(samples) // 4}.get(fault)
+        write_wav(bad, AudioBuffer(samples[:cut], 8000 if fault == "wav_rate" else sr))
         manifest = tmp_path / "bad.tsv"
         write_manifest(manifest, [dataclasses.replace(records[0], distorted_path=str(bad))],
                        8000 if fault == "manifest_rate" else sr)
@@ -359,7 +360,10 @@ class TestInputContract:
                          "--manifest", str(manifest), "--report", str(tmp_path / "r.tsv")],
         }[command]
         assert main([command] + argv) == code
-        assert (manifest if fault == "manifest_rate" else bad).name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (manifest if fault == "manifest_rate" else bad).name in err
+        if fault == "short_wav":  # a pair of unequal lengths names both files
+            assert Path(records[0].clean_path).name in err
 
     def test_readme_lists_every_exit_code(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
