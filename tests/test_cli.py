@@ -225,6 +225,24 @@ class TestRestore:
         assert main(["restore", "--ckpt", str(workspace / "run" / "final.ckpt"),
                      "--in", str(empty), "--out", str(tmp_path / "o")]) == 3
 
+    def test_flip_in_skipped_moment_exits_2(self, workspace, tmp_path, capsys):
+        """restore never keeps the Adam moments, yet a flipped byte in one
+        fails the load: exit 2, the checkpoint named, no WAV written."""
+        import struct
+        blob = bytearray((workspace / "run" / "final.ckpt").read_bytes())
+        at = blob.index(b"adam.v.")  # the first v record's name
+        (nlen,) = struct.unpack_from("<I", blob, at - 4)
+        (rank,) = struct.unpack_from("<I", blob, at + nlen)
+        blob[at + nlen + 4 + 8 * rank + 2] ^= 0x01  # its third data byte
+        bad = tmp_path / "flipped.ckpt"
+        bad.write_bytes(bytes(blob))
+        out = tmp_path / "o"
+        assert main(["restore", "--ckpt", str(bad), "--in", str(workspace / "clean"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "checksum" in err
+        assert not out.exists() or not list(out.glob("*.wav"))
+
     @pytest.mark.parametrize("content", [b"not a wav file\n", "truncated"])
     def test_malformed_wav_exits_2(self, workspace, tmp_path, capsys, content):
         from hdrs.audio import AudioBuffer, write_wav

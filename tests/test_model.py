@@ -596,6 +596,12 @@ class TestCheckpointContainer:
         _, arrays = load_container(path)
         assert arrays["s"].shape == () and arrays["s"] == np.float32(2.5)
 
+    def test_empty_array_round_trips(self, tmp_path):
+        path = tmp_path / "empty.ckpt"
+        save_container(path, {}, {"e": np.zeros((0, 3), np.float32), "s": np.float32(1)})
+        _, arrays = load_container(path)
+        assert arrays["e"].shape == (0, 3) and arrays["s"] == np.float32(1)
+
     def test_truncated_file_is_corrupt(self, tmp_path):
         cfg = tiny_cfg()
         params = M.init_params(cfg, 17, np.float32)
@@ -640,6 +646,10 @@ class TestCheckpointContainer:
         path = tmp_path / "train.ckpt"
         save_checkpoint(path, params, state, cfg, TrainConfig())
         return cfg, params, path
+
+    @staticmethod
+    def _params_only(name):
+        return not name.startswith("adam.")
 
     def test_params_only_load_returns_exactly_the_params(self, tmp_path):
         from hdrs.train import load_checkpoint
@@ -698,3 +708,124 @@ class TestCheckpointContainer:
         path.write_bytes(body)
         with pytest.raises(Corrupt, match="truncated"):
             load_container(path, lambda name: not name.startswith("adam."))
+
+    @pytest.mark.parametrize("chunk", [13, 256, 1 << 20])
+    def test_load_independent_of_window_size(self, tmp_path, monkeypatch, chunk):
+        """Headers split across slots, text and arrays larger than a slot,
+        and the helper thread on or off, all read the same arrays; thread
+        switches forced every microsecond lose no span of the CRC."""
+        import sys
+        from hdrs import checkpoint
+        _, _, path = self._training_checkpoint(tmp_path)
+        want = {k: load_container(path, k) for k in (None, self._params_only)}
+        monkeypatch.setattr(checkpoint, "_READ_CHUNK", chunk)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            loads = {k: load_container(path, k) for k in want}
+        finally:
+            sys.setswitchinterval(interval)
+        for k, (text, arrays) in want.items():
+            got_text, got = loads[k]
+            assert got_text == text and list(got) == list(arrays)
+            for name, arr in arrays.items():
+                assert got[name].dtype == np.float32 and got[name].shape == arr.shape
+                assert got[name].tobytes() == arr.tobytes()
+                assert got[name].flags.writeable
+
+    def test_other_version_is_summed_not_parsed(self, tmp_path):
+        """A version-2 body that v1 cannot parse (its text length runs past
+        the file) raises FormatVersionMismatch under a good CRC and Corrupt
+        under a bad one."""
+        import struct
+        import zlib
+        path = tmp_path / "v2.ckpt"
+        body = b"HDRS" + struct.pack("<II", 2, 0xFFFFFFF0) + bytes(range(256)) * 8
+        blob = bytearray(body + struct.pack("<I", zlib.crc32(body)))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatVersionMismatch):
+            load_container(path)
+        blob[100] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(Corrupt, match="checksum"):
+            load_container(path)
+
+    @pytest.mark.parametrize("field, match", [("name length", "name runs past"),
+                                              ("dims", "truncated")])
+    @pytest.mark.parametrize("fix_crc", [False, True])
+    def test_flip_in_skipped_header_is_corrupt(self, tmp_path, field, match, fix_crc):
+        """A flipped high byte in a skipped record's name length or first
+        dim: "checksum mismatch" under the stale CRC, the structural fault
+        under a recomputed one."""
+        import struct
+        import zlib
+        _, _, path = self._training_checkpoint(tmp_path)
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"adam.v.")  # the name; its u32 length ends here
+        (nlen,) = struct.unpack_from("<I", blob, at - 4)
+        # the length's top byte, or byte 5 of the first u64 dim after the rank
+        blob[at - 1 if field == "name length" else at + nlen + 4 + 5] ^= 0x40
+        if fix_crc:
+            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(Corrupt, match=match if fix_crc else "checksum"):
+            load_container(path, self._params_only)
+
+    @pytest.mark.parametrize("chunk", [256, 1 << 20])
+    def test_file_shrinking_under_reader_is_corrupt(self, tmp_path, monkeypatch, chunk):
+        """A file 4 KiB shorter than its size when opened."""
+        import os
+        from types import SimpleNamespace
+        from hdrs import checkpoint
+        _, _, path = self._training_checkpoint(tmp_path)
+        monkeypatch.setattr(checkpoint, "_READ_CHUNK", chunk)
+        real = os.fstat
+        monkeypatch.setattr(checkpoint.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=real(fd).st_size + 4096))
+        for k in (None, self._params_only):
+            with pytest.raises(Corrupt, match="shrank"):
+                load_container(path, k)
+
+    @pytest.mark.parametrize("case", ["good", "corrupt", "keep raises"])
+    def test_no_thread_outlives_load(self, tmp_path, monkeypatch, case):
+        """With slots small enough to start the CRC helper, no thread is left
+        after a good load, a Corrupt one, or a BaseException from ``keep``."""
+        import threading
+        from hdrs import checkpoint
+
+        class Stop(BaseException):
+            pass
+
+        _, _, path = self._training_checkpoint(tmp_path)
+        if case == "corrupt":
+            blob = bytearray(path.read_bytes())
+            blob[len(blob) // 2] ^= 0x01
+            path.write_bytes(bytes(blob))
+        monkeypatch.setattr(checkpoint, "_READ_CHUNK", 256)
+        before = set(threading.enumerate())
+        seen = []
+
+        def keep(name):
+            seen.append(set(threading.enumerate()) - before)
+            if case == "keep raises" and len(seen) == 5:
+                raise Stop
+            return self._params_only(name)
+
+        expect = {"good": None, "corrupt": Corrupt, "keep raises": Stop}[case]
+        if expect is None:
+            load_container(path, keep)
+        else:
+            with pytest.raises(expect):
+                load_container(path, keep)
+        assert any(seen)  # the helper ran during the load
+        assert set(threading.enumerate()) == before
+
+    def test_failed_save_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_container(path, {"k": "v"}, {"a": np.ones(2, np.float32)})
+        old = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_container(path, {"k": "v"}, {"a": np.ones(2, np.float32),
+                                              "b": np.array(["x"])})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.ckpt"]
+        assert path.read_bytes() == old
