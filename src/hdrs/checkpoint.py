@@ -13,7 +13,10 @@ go to a temp file in the target directory followed by an atomic rename.
 A load reads the file once, front to back, through a small ring of scratch
 buffers, and a helper thread chains the CRC over each buffer while the next
 one is read. Every length is checked against the records before it is
-read. The checks resolve in this order: a file that shrinks under the
+read, and a name length or rank against a small bound, since headers are
+parsed before the CRC is known. A damaged text length or array shape that
+still fits the file can cost up to the file's own size in memory before the
+CRC rejects it. The checks resolve in this order: a file that shrinks under the
 reader; the CRC, over every byte including the arrays the caller skips;
 then a fault found while parsing, whose discovery only stopped the parse,
 not the sum. So a damaged file reads as "checksum mismatch" whatever else
@@ -46,6 +49,11 @@ FORMAT_VERSION = 1
 # in 4 MiB of scratch.
 _READ_CHUNK = 1 << 20
 _RING_SLOTS = 4
+# Largest array name (bytes) and rank a container holds. A load parses each
+# header before the CRC is known, so an unchecked rank would let one flipped
+# bit read megabytes of dims and multiply them; 32 is numpy 1.x's limit.
+_MAX_NAME = 1024
+_MAX_RANK = 32
 
 
 class FormatVersionMismatch(ValueError):
@@ -113,6 +121,9 @@ def save_container(path, text: dict, arrays: dict) -> None:
             for name, arr in arrays.items():
                 data = np.require(arr, "<f4", "C")  # unlike ascontiguousarray, keeps rank 0
                 nb = name.encode("utf-8")
+                if len(nb) > _MAX_NAME or data.ndim > _MAX_RANK:
+                    raise ValueError(f"array {name[:64]!r}: name over {_MAX_NAME} bytes "
+                                     f"or rank over {_MAX_RANK}")
                 put(struct.pack("<I", len(nb)) + nb + struct.pack("<I", data.ndim)
                     + struct.pack(f"<{data.ndim}Q", *data.shape))
                 put(data)
@@ -283,9 +294,13 @@ def _parse(r: _SummedReader, keep):
     for _ in range(count):
         buf, at = r.take(4, "name runs")
         (nlen,) = struct.unpack_from("<I", buf, at)
+        if nlen > _MAX_NAME:
+            raise Corrupt(f"{path}: malformed record (name runs past {_MAX_NAME} bytes)")
         buf, at = r.take(nlen + 4, "name runs")
         name = buf[at:at + nlen].decode("utf-8")
         (rank,) = struct.unpack_from("<I", buf, at + nlen)
+        if rank > _MAX_RANK:
+            raise Corrupt(f"{path}: array {name} has rank {rank}")
         buf, at = r.take(8 * rank, f"array {name} dims run")
         dims = struct.unpack_from(f"<{rank}Q", buf, at)
         nbytes = 4 * math.prod(dims)

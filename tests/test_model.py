@@ -771,6 +771,37 @@ class TestCheckpointContainer:
         with pytest.raises(Corrupt, match=match if fix_crc else "checksum"):
             load_container(path, self._params_only)
 
+    @pytest.mark.parametrize("bit", [16, 20])
+    @pytest.mark.parametrize("fix_crc", [False, True])
+    def test_flip_in_rank_is_corrupt(self, tmp_path, bit, fix_crc):
+        """A rank flipped to 65537 or 1048577 in front of 9 MiB of ones, so
+        its dims fit the file: refused before the dims are read, not
+        multiplied out of the float data."""
+        import struct
+        import zlib
+        path = tmp_path / "rank.ckpt"
+        save_container(path, {}, {"a": np.ones(1, np.float32),
+                                  "b": np.ones(9 << 18, np.float32)})
+        blob = bytearray(path.read_bytes())
+        at = 4 + 8 + 4 + 4 + 1  # magic, version and text length, count, name length, "a"
+        assert struct.unpack_from("<I", blob, at) == (1,)
+        blob[at + bit // 8] ^= 1 << (bit % 8)
+        if fix_crc:
+            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(Corrupt, match="has rank" if fix_crc else "checksum"):
+            load_container(path)
+
+    @pytest.mark.parametrize("name, arr", [("n" * 1025, np.ones(1, np.float32)),
+                                           ("r", np.ones((1,) * 33, np.float32))],
+                             ids=["long name", "rank 33"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, name, arr):
+        """A name over 1024 bytes or a rank over 32 is never written."""
+        path = tmp_path / "x.ckpt"
+        with pytest.raises(ValueError, match="over"):
+            save_container(path, {}, {name: arr})
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("chunk", [256, 1 << 20])
     def test_file_shrinking_under_reader_is_corrupt(self, tmp_path, monkeypatch, chunk):
         """A file 4 KiB shorter than its size when opened."""
