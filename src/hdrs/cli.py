@@ -139,18 +139,32 @@ def _write_pgm(path, mag: np.ndarray) -> None:
         f.write(img.tobytes())
 
 
-def _dump_trace(out_dir: Path, stem: str, buf: AudioBuffer, trace, factor: int) -> None:
-    # mask, w and refined run at the upsampled model rate, padded past the input
-    n_up = factor * len(buf)
-    for name, sig in (("mask", trace.mask), ("w", trace.w), ("refined", trace.refined)):
-        if sig is not None:
+def _dump_trace(out_dir: Path, stem: str, buf: AudioBuffer, params: dict,
+                cfg: ModelConfig) -> np.ndarray:
+    """Restores ``buf``, writing its mask/w/refined WAVs and in/out PGMs
+    beside it; returns the restored samples."""
+    # mask, refined and w run at the upsampled model rate, padded past the input
+    n_up = cfg.resample_factor * len(buf)
+    kept = {}
+
+    def keep(start, signals):
+        for name, sig in zip(("mask", "refined", "w"), signals[2:]):
+            if sig is not None and start < n_up:
+                if name not in kept:
+                    kept[name] = np.empty(n_up, sig.dtype)
+                kept[name][start:start + sig.shape[-1]] = sig[:n_up - start]
+
+    with T.no_grad():
+        x_hat = forward(buf.samples, params, cfg, on_window=keep).data
+    for name in ("mask", "w", "refined"):
+        if name in kept:
             write_wav(out_dir / f"{stem}.{name}.wav",
-                      AudioBuffer(sig.data[:n_up], factor * buf.sample_rate))
-    pairs = [("in", np.asarray(buf.samples)), ("out", trace.x_hat.data)]
-    for tag, sig in pairs:
+                      AudioBuffer(kept.pop(name), cfg.resample_factor * buf.sample_rate))
+    for tag, sig in (("in", np.asarray(buf.samples)), ("out", x_hat)):
         if len(sig) >= SPECTROGRAM_CFG.window_len:
             mag = stft_magnitude(sig.astype(np.float64), SPECTROGRAM_CFG).data
             _write_pgm(out_dir / f"{stem}.{tag}.pgm", mag)
+    return x_hat
 
 
 def cmd_restore(args) -> int:
@@ -167,11 +181,12 @@ def cmd_restore(args) -> int:
     for f in files:
         buf = read_wav(f, model_cfg.sample_rate)
         buf.samples = buf.samples.astype(dtype)
-        with T.no_grad():
-            trace = forward(buf.samples, params, model_cfg, trace=args.dump_trace)
-        n_clipped = write_wav(out_dir / f.name, AudioBuffer(trace.x_hat.data, buf.sample_rate))
         if args.dump_trace:
-            _dump_trace(out_dir, f.stem, buf, trace, model_cfg.resample_factor)
+            x_hat = _dump_trace(out_dir, f.stem, buf, params, model_cfg)
+        else:
+            with T.no_grad():
+                x_hat = forward(buf.samples, params, model_cfg).data
+        n_clipped = write_wav(out_dir / f.name, AudioBuffer(x_hat, buf.sample_rate))
         print(f"restored {f.name} ({len(buf)} samples, {n_clipped} clipped)")
     return 0
 
@@ -244,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--out", required=True, help="output directory")
     rp.add_argument("--dump-trace", action="store_true",
                     help="also write mask/w/refined WAVs and PGM spectrograms "
-                         "(keeps these 4x-rate signals for the whole file in memory)")
+                         "(keeps these three 4x-rate signals for the whole file in memory)")
     rp.set_defaults(fn=cmd_restore)
 
     ep = sub.add_parser("evaluate", help="score restored outputs against references")

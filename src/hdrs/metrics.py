@@ -129,7 +129,7 @@ def evaluate(manifest_path, params: dict, cfg: ModelConfig,
     for r in records:
         clean, dist = read_pair(r, sr)
         with T.no_grad():
-            restored = forward(dist.astype(np.float32), params, cfg).x_hat.data
+            restored = forward(dist.astype(np.float32), params, cfg).data
         restored = restored.astype(np.float64)
         si_in = si_sdr(clean, dist)
         si_out = si_sdr(clean, restored)

@@ -35,11 +35,11 @@ VARIANTS = ("hd_demucs", "demucs_baseline", "no_fusion", "no_fusion_no_skip",
 
 STD_FLOOR = 1e-5
 
-# A no-grad forward runs an input longer than one window in windows, each
-# spanning this many bytes of the forward's widest float32 activation
-# (``frame_width``): 160 frames, 2.56 s, at hidden_ch 48 and depth 5, and
-# 3840 frames, 3.84 s, at hidden_ch 4 and depth 3. This bounds the forward's
-# working set independently of the input length.
+# A no-grad forward runs its input in windows, each spanning this many bytes
+# of the forward's widest float32 activation (``frame_width``): 160 frames,
+# 2.56 s, at hidden_ch 48 and depth 5, and 3840 frames, 3.84 s, at hidden_ch 4
+# and depth 3. An input of at most one window is one window. This bounds the
+# forward's working set independently of the input length.
 _WINDOW_BYTES = 15 << 20
 
 
@@ -88,16 +88,6 @@ class ModelConfig:
 
     def tconv_padding(self, dilation: int) -> int:
         return (dilation * (self.kernel - 1) - (self.stride - 1)) // 2
-
-
-@dataclass
-class ForwardTrace:
-    x_hat: Tensor
-    y_up: Tensor | None = None
-    x_hat_up: Tensor | None = None
-    mask: Tensor | None = None
-    refined: Tensor | None = None
-    w: Tensor | None = None
 
 
 def _branches(cfg: ModelConfig) -> list:
@@ -329,29 +319,32 @@ def _core(h: Tensor, params: dict, cfg: ModelConfig, w_override, carry=None) -> 
 
 
 def _windowed_forward(x: Tensor, sigma: Tensor, params: dict, cfg: ModelConfig, w_override,
-                      window: int, trace: bool) -> ForwardTrace:
+                      on_window) -> Tensor:
     """``forward`` run window by window from the raw input ``x``, with the
     LSTM state carried across. Each window normalises and upsamples its own
-    slice, widened by the frame halo and the resampler's, and decimates its
-    core into ``x_hat``, carrying over the upsampled samples the decimator
-    reads past the window's end. Only ``trace`` stitches the 4x-rate arrays."""
+    slice, widened by the frame halo and the resampler's, decimates its core
+    into ``x_hat``, carrying over the upsampled samples the decimator reads
+    past the window's end, and hands that core to ``on_window``."""
     f, r, halo = cfg.stride ** cfg.depth, RESAMPLE_FACTOR, RESAMPLE_HALO
     n, lead = x.shape[-1], x.shape[:-1]
     total = r * -(-n // f)  # bottleneck frames in the padded, upsampled input
+    window = max(1, _WINDOW_BYTES // (4 * frame_width(cfg)))  # in bottleneck frames
     enc, dec = halo_frames(cfg)
     scale = (sigma + STD_FLOOR).data
     x_hat = np.empty(x.shape, x.dtype)
     # tail: upsampled output from sample r * (done - halo) on, not yet decimated
     done, tail = 0, np.zeros(lead + (r * halo,), x.dtype)
-    state, stitched = [], None
+    state = []
     for a in range(0, total, window):
         b = min(a + window, total)
         # The decoders read the bottleneck on [a - dec, b + dec), so the LSTM
         # runs there, but its carried state advances only to b - dec, where
-        # the next window's run starts. The slice reaches enc frames further,
-        # so the encoder's zero padding at its ends never reaches that span.
+        # the next window's run starts; the last window runs it in one piece.
+        # The slice reaches enc frames further, so the encoder's zero padding
+        # at its ends never reaches that span.
         lo, hi = max(a - enc - dec, 0), min(b + enc + dec, total)
-        carry = (state, max(a - dec, 0) - lo, max(b - dec, 0) - lo, min(b + dec, total) - lo)
+        stop = min(b + dec, total) - lo
+        carry = (state, max(a - dec, 0) - lo, stop if b == total else max(b - dec, 0) - lo, stop)
         # input samples [m0, m1), zero outside [0, n): their upsampling is exact
         # on frames [lo, hi), which lie halo samples inside either end
         m0, m1 = lo * f // r - halo, -(-hi * f // r) + halo
@@ -359,49 +352,45 @@ def _windowed_forward(x: Tensor, sigma: Tensor, params: dict, cfg: ModelConfig, 
         seg[..., max(m0, 0) - m0:min(m1, n) - m0] = x.data[..., max(m0, 0):min(m1, n)] / scale
         up = upsample_4x(seg).data[..., lo * f - r * m0:hi * f - r * m0]
         h = Tensor(np.ascontiguousarray(up.reshape(lead + (1, -1))))
-        outs = (h,) + _core(h, params, cfg, w_override, carry)
-        core = outs[1].data[..., 0, (a - lo) * f:(b - lo) * f]
+        outs = [o if o is None else o.data[..., 0, (a - lo) * f:(b - lo) * f]
+                for o in (h,) + _core(h, params, cfg, w_override, carry)]
         last = [np.zeros(lead + (r * halo,), x.dtype)] if b == total else []
-        tail = np.concatenate([tail, core] + last, axis=-1)
+        tail = np.concatenate([tail, outs[1]] + last, axis=-1)
         new = tail.shape[-1] // r - 2 * halo
-        stop = min(done + new, n)
-        x_hat[..., done:stop] = downsample_4x(tail[..., :r * (new + 2 * halo)]).data[
-            ..., halo:halo + stop - done] * sigma.data
+        out = x_hat[..., done:done + new]  # empty once done passes n
+        out[...] = downsample_4x(tail[..., :r * (new + 2 * halo)]).data[
+            ..., halo:halo + out.shape[-1]] * sigma.data
         done, tail = done + new, tail[..., r * new:]
-        if trace:
-            if stitched is None:
-                stitched = [None if o is None else np.empty(lead + (total * f,), o.dtype)
-                            for o in outs]
-            for full, o in zip(stitched, outs):
-                if o is not None:
-                    full[..., a * f:b * f] = o.data[..., 0, (a - lo) * f:(b - lo) * f]
-    # stitched follows outs: y_up, x_hat_up, mask, refined, w
-    arrays = [None if full is None else Tensor(full) for full in stitched or [None] * 5]
-    return ForwardTrace(Tensor(x_hat), *arrays)
+        if on_window is not None:
+            on_window(a * f, outs)
+    return Tensor(x_hat)
 
 
 def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None,
-            trace: bool = False) -> ForwardTrace:
+            on_window=None) -> Tensor:
     """Full restoration pass over a waveform [N] or a batch [B, N] of equal
-    length, given as an array or a Tensor; output length always equals
-    input length.
+    length, given as an array or a Tensor; returns ``x_hat``, whose length
+    always equals the input length.
 
     Every item is normalized by its own standard deviation. ``w_override``
     pins the fusion weight to a constant (the warm training phase runs the
     full model with w=0.5 and the fusion stack detached).
 
-    Under ``no_grad()`` an input longer than one window (``_WINDOW_BYTES``
-    of its widest activation, ``frame_width``) runs in consecutive windows
-    of whole bottleneck frames, so its memory does not grow with its length
-    beyond the input and ``x_hat``. Each window normalises and upsamples its
-    own slice of the input, which reaches ``sum(halo_frames)`` frames and
-    the resampler's ``RESAMPLE_HALO`` samples past its ends; the LSTM
-    carries its state from one window to the next, and the decimator the
-    upsampled samples it reads across the boundary. The output matches the
-    one-pass output up to rounding. Such a forward returns ``x_hat`` alone
-    unless ``trace`` asks it to stitch ``y_up``, ``x_hat_up``, ``mask``,
-    ``refined`` and ``w`` as well. A recording forward and a one-window
-    input run in one pass and always return every trace array.
+    Under ``no_grad()`` the input runs in consecutive windows of whole
+    bottleneck frames (``_WINDOW_BYTES`` of its widest activation,
+    ``frame_width``), one window for a short input, so its memory does not
+    grow with its length beyond the input and ``x_hat``. Each window
+    normalises and upsamples its own slice of the input, which reaches
+    ``sum(halo_frames)`` frames and the resampler's ``RESAMPLE_HALO``
+    samples past its ends; the LSTM carries its state from one window to
+    the next, and the decimator the upsampled samples it reads across the
+    boundary. A recording forward runs in one pass.
+
+    ``on_window(start, [y_up, x_hat_up, mask, refined, w])``, if given, is
+    called once per window with the window's first upsampled sample and
+    numpy views of its slice of each 4x-rate signal, [..., len], over the
+    padded input; an entry is None where the variant has no such signal.
+    A recording forward calls it once, with start 0 and the whole arrays.
     """
     if isinstance(y, Tensor):
         x = y
@@ -413,25 +402,17 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None,
         raise EmptyInput("empty waveform")
 
     sigma = T.std(x, -1, keepdims=True)
-    mult = cfg.stride ** cfg.depth
-    padded = n + (-n) % mult
-    # in bottleneck frames, each of mult upsampled samples
-    window = max(1, _WINDOW_BYTES // (4 * frame_width(cfg)))
-    if not T.grad_enabled() and RESAMPLE_FACTOR * padded > window * mult:
-        return _windowed_forward(x, sigma, params, cfg, w_override, window, trace)
+    if not T.grad_enabled():
+        return _windowed_forward(x, sigma, params, cfg, w_override, on_window)
 
     xn = x / (sigma + STD_FLOOR)
-    if padded > n:
-        xn = T.pad_axis(xn, -1, 0, padded - n)
+    pad = (-n) % (cfg.stride ** cfg.depth)
+    if pad:
+        xn = T.pad_axis(xn, -1, 0, pad)
     y_up = upsample_4x(xn)
     # one input channel: [..., L_up] -> [..., 1, L_up]
     h = T.reshape(y_up, y_up.shape[:-1] + (1, y_up.shape[-1]))
-    out2, mask2, refined2, w2 = _core(h, params, cfg, w_override)
-    x_hat_up = T.reshape(out2, y_up.shape)
-    x_hat = T.narrow(downsample_4x(x_hat_up), -1, 0, n) * sigma
-
-    def squeeze(t2):
-        return None if t2 is None else T.reshape(t2, y_up.shape)
-
-    return ForwardTrace(x_hat=x_hat, y_up=y_up, x_hat_up=x_hat_up,
-                        mask=squeeze(mask2), refined=squeeze(refined2), w=squeeze(w2))
+    outs = _core(h, params, cfg, w_override)
+    if on_window is not None:
+        on_window(0, [o if o is None else o.data[..., 0, :] for o in (h,) + outs])
+    return T.narrow(downsample_4x(T.reshape(outs[0], y_up.shape)), -1, 0, n) * sigma

@@ -241,8 +241,8 @@ def _backward_step(corpus: _Corpus, step: int, params: dict, model_cfg: ModelCon
                               clean_len - train_cfg.segment_samples)
         crops.append(corpus.segment(item, offset, train_cfg.segment_samples))
     clean, dist = (np.stack(c) for c in zip(*crops))
-    trace = forward(dist, params, model_cfg, w_override=w_override)
-    rep = loss_total(Tensor(clean, dtype=np.float32), trace.x_hat)
+    x_hat = forward(dist, params, model_cfg, w_override=w_override)
+    rep = loss_total(Tensor(clean, dtype=np.float32), x_hat)
     if not np.isfinite(rep.total):
         raise NonFiniteLoss(f"loss diverged at step {step + 1}")
     T.backward(rep.tensor)

@@ -153,32 +153,47 @@ class TestRestore:
         lines = capsys.readouterr().out.splitlines()
         assert f"restored clean00.wav ({len(a)} samples, 0 clipped)" in lines
 
-    def test_dump_trace_mask_bounded(self, workspace, tmp_path):
+    def test_dump_trace_mask_bounded(self, workspace, tmp_path, monkeypatch):
+        """The trained hd_demucs checkpoint writes mask, w and refined WAVs;
+        a suppression_only one writes the mask alone. Each run in one window
+        and in four (the padded input is 1000 frames of 16 upsampled
+        samples at depth 2)."""
+        from hdrs import model
         from hdrs.audio import AudioBuffer, write_wav
-        from hdrs.train import load_checkpoint
-        ckpt = str(workspace / "run" / "final.ckpt")
-        _, _, cfg, _ = load_checkpoint(ckpt, moments=False)
+        from hdrs.train import TrainConfig, TrainState, save_checkpoint
+        sup_cfg = model.ModelConfig(hidden_ch=2, depth=2, variant="suppression_only")
+        params = model.init_params(sup_cfg, 60)
+        state = TrainState(step=0, phase="warm", seed=60)
+        for name, p in params.items():
+            state.m[name] = state.v[name] = np.zeros_like(p.data)
+        save_checkpoint(tmp_path / "sup.ckpt", params, state, sup_cfg, TrainConfig())
         clip = read_wav(workspace / "clean" / "clean00.wav", 16000)
         n = len(clip) - 3
         # the model pads this input, so the trim is exercised
-        assert n % cfg.stride ** cfg.depth
+        assert n % sup_cfg.stride ** sup_cfg.depth
         src = tmp_path / "odd.wav"
         write_wav(src, AudioBuffer(clip.samples[:n], clip.sample_rate))
-        out = tmp_path / "traced"
-        assert main(["restore", "--ckpt", ckpt, "--in", str(src),
-                     "--out", str(out), "--dump-trace"]) == 0
-        mask = read_wav(out / "odd.mask.wav", 4 * 16000).samples
-        assert mask.min() >= 0.0 and mask.max() <= 1.0
-        for suffix in ("w.wav", "refined.wav", "in.pgm", "out.pgm"):
-            assert (out / f"odd.{suffix}").exists()
-        # the branch signals run at the 4x model rate, trimmed to the input
-        assert len(read_wav(out / "odd.wav", 16000)) == n
-        for name in ("mask", "w", "refined"):
-            sig = read_wav(out / f"odd.{name}.wav", 4 * 16000)
-            assert sig.sample_rate == 4 * 16000
-            assert len(sig) == 4 * n
-        header = (out / "odd.in.pgm").read_bytes()[:2]
-        assert header == b"P5"
+        hd_cfg = dataclasses.replace(sup_cfg, variant="hd_demucs")
+        for ckpt, cfg, signals in (
+                (workspace / "run" / "final.ckpt", hd_cfg, ("mask", "w", "refined")),
+                (tmp_path / "sup.ckpt", sup_cfg, ("mask",))):
+            for window in (1000, 250):
+                monkeypatch.setattr(model, "_WINDOW_BYTES", window * 4 * model.frame_width(cfg))
+                out = tmp_path / f"{ckpt.stem}-{window}"
+                assert main(["restore", "--ckpt", str(ckpt), "--in", str(src),
+                             "--out", str(out), "--dump-trace"]) == 0
+                mask = read_wav(out / "odd.mask.wav", 4 * 16000).samples
+                assert mask.min() >= 0.0 and mask.max() <= 1.0
+                # the branch signals run at the 4x model rate, trimmed to the input
+                assert len(read_wav(out / "odd.wav", 16000)) == n
+                for name in ("mask", "w", "refined"):
+                    assert (out / f"odd.{name}.wav").exists() == (name in signals), name
+                    if name in signals:
+                        sig = read_wav(out / f"odd.{name}.wav", 4 * 16000)
+                        assert sig.sample_rate == 4 * 16000
+                        assert len(sig) == 4 * n
+                for tag in ("in", "out"):
+                    assert (out / f"odd.{tag}.pgm").read_bytes()[:2] == b"P5"
 
     def test_dump_trace_in_windows_matches_one_pass(self, workspace, tmp_path, monkeypatch):
         """A restore run in 4 windows (monkeypatched small) writes the same

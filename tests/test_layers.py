@@ -1,5 +1,7 @@
 """Convolutions, GLU, and LSTM: values, adjointness, and gradients."""
 
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -19,6 +21,16 @@ def t(data, rg=False):
 def conv_params(w, b=None, stride=1, padding=0, dilation=1, rg=False):
     return L.Conv1dParams(t(w, rg), None if b is None else t(b, rg),
                           stride, padding, dilation)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_blas_runs_on_one_thread():
+    """The root conftest pins OpenBLAS to one thread, on which the tests'
+    byte-identity holds: after a large product the process runs no thread
+    beyond Python's own (a second BLAS thread would be one more)."""
+    a = np.ones((512, 512))
+    a @ a
+    assert len(os.listdir("/proc/self/task")) == threading.active_count()
 
 
 class TestConv1d:

@@ -18,6 +18,28 @@ def tiny_cfg(variant="hd_demucs", hidden=4, depth=3, sr=16000):
     return M.ModelConfig(hidden_ch=hidden, depth=depth, variant=variant, sample_rate=sr)
 
 
+SIGNALS = ("y_up", "x_hat_up", "mask", "refined", "w")
+
+
+def traced_forward(y, params, cfg, **kw):
+    """``forward`` plus its 4x-rate signals, stitched from the ``on_window``
+    calls: (x_hat, {name: array or None}, number of calls). The windows must
+    tile the padded input in order."""
+    calls = []
+    x_hat = M.forward(y, params, cfg, on_window=lambda start, sigs: calls.append(
+        (start, [None if s is None else s.copy() for s in sigs])), **kw)
+    end = 0
+    for start, sigs in calls:
+        assert start == end
+        end += sigs[0].shape[-1]
+        assert all(s is None or s.shape == sigs[0].shape for s in sigs)
+    signals = {}
+    for i, name in enumerate(SIGNALS):
+        parts = [sigs[i] for _, sigs in calls]
+        signals[name] = None if parts[0] is None else np.concatenate(parts, axis=-1)
+    return x_hat, signals, len(calls)
+
+
 class TestParamCounts:
     # frozen totals for the reference sizes; tolerance bands follow the
     # 18M / 33M / 24M targets
@@ -181,21 +203,22 @@ class TestForward:
         rng = np.random.default_rng(length)
         x = (rng.standard_normal(length) * 0.2).astype(np.float32)
         with T.no_grad():
-            trace = M.forward(x, params, cfg)
-        assert trace.y_up is not None  # one window: the range checks below run
-        assert trace.x_hat.shape == (length,)
-        assert np.all(np.isfinite(trace.x_hat.data))
-        if trace.mask is not None:
-            assert trace.mask.data.min() >= 0.0 and trace.mask.data.max() <= 1.0
-        if trace.w is not None:
-            assert trace.w.data.min() > 0.0 and trace.w.data.max() < 1.0
+            x_hat, sig, _ = traced_forward(x, params, cfg)
+        assert x_hat.shape == (length,)
+        assert np.all(np.isfinite(x_hat.data))
+        assert (sig["mask"] is None) == (variant in ("demucs_baseline", "refinement_only"))
+        assert (sig["w"] is None) == (variant != "hd_demucs")
+        if sig["mask"] is not None:
+            assert sig["mask"].min() >= 0.0 and sig["mask"].max() <= 1.0
+        if sig["w"] is not None:
+            assert sig["w"].min() > 0.0 and sig["w"].max() < 1.0
 
     def test_zero_input_zero_output(self):
         cfg = tiny_cfg(hidden=2, depth=3)
         params = M.init_params(cfg, 9, np.float64)
         with T.no_grad():
-            trace = M.forward(np.zeros(1000), params, cfg)
-        assert np.max(np.abs(trace.x_hat.data)) < 1e-6
+            x_hat = M.forward(np.zeros(1000), params, cfg)
+        assert np.max(np.abs(x_hat.data)) < 1e-6
 
     def test_scaling_symmetry(self):
         cfg = tiny_cfg(hidden=2, depth=3)
@@ -203,8 +226,8 @@ class TestForward:
         rng = np.random.default_rng(13)
         x = rng.standard_normal(2000) * 0.3
         with T.no_grad():
-            out1 = M.forward(x, params, cfg).x_hat.data
-            out3 = M.forward(3.0 * x, params, cfg).x_hat.data
+            out1 = M.forward(x, params, cfg).data
+            out3 = M.forward(3.0 * x, params, cfg).data
         scale = np.max(np.abs(3.0 * out1)) + 1e-12
         assert np.max(np.abs(out3 - 3.0 * out1)) / scale < 1e-3
 
@@ -223,8 +246,8 @@ class TestForward:
         rng = np.random.default_rng(22)
         x = rng.standard_normal(1500)
         with T.no_grad():
-            a = M.forward(x, hd_params, hd_cfg, w_override=0.5).x_hat.data
-            b = M.forward(x, nf_params, nf_cfg).x_hat.data
+            a = M.forward(x, hd_params, hd_cfg, w_override=0.5).data
+            b = M.forward(x, nf_params, nf_cfg).data
         np.testing.assert_array_equal(a, b)
 
     def test_no_skip_variant_differs_from_full(self):
@@ -234,8 +257,8 @@ class TestForward:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(1200)
         with T.no_grad():
-            a = M.forward(x, params, cfg_full).x_hat.data
-            b = M.forward(x, params, cfg_cut).x_hat.data
+            a = M.forward(x, params, cfg_full).data
+            b = M.forward(x, params, cfg_cut).data
         assert not np.allclose(a, b)
 
     def test_suppression_only_never_amplifies(self):
@@ -244,10 +267,10 @@ class TestForward:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(2000) * 0.4
         with T.no_grad():
-            trace = M.forward(x, params, cfg)
+            x_hat, sig, _ = traced_forward(x, params, cfg)
             # identity path through the same resampler round trip
-            ref = downsample_4x(trace.y_up).data[:2000] * (x.std() + M.STD_FLOOR)
-        assert np.all(np.abs(trace.x_hat.data) <= np.abs(ref) + 1e-3)
+            ref = downsample_4x(sig["y_up"]).data[:2000] * (x.std() + M.STD_FLOOR)
+        assert np.all(np.abs(x_hat.data) <= np.abs(ref) + 1e-3)
 
     def test_masked_magnitude_bounded_by_input_in_up_domain(self):
         cfg = tiny_cfg("suppression_only", hidden=2, depth=3)
@@ -255,18 +278,18 @@ class TestForward:
         rng = np.random.default_rng(9)
         x = rng.standard_normal(1024)
         with T.no_grad():
-            trace = M.forward(x, params, cfg)
-        assert np.all(np.abs(trace.x_hat_up.data) <= np.abs(trace.y_up.data) + 1e-12)
+            _, sig, _ = traced_forward(x, params, cfg)
+        assert np.all(np.abs(sig["x_hat_up"]) <= np.abs(sig["y_up"]) + 1e-12)
 
     def test_branch_signals_match_upsampled_length(self):
         cfg = tiny_cfg(hidden=2, depth=3)
         params = M.init_params(cfg, 10, np.float64)
-        with T.no_grad():
-            trace = M.forward(np.random.default_rng(11).standard_normal(900),
-                              params, cfg)
-        assert trace.mask.shape == trace.y_up.shape
-        assert trace.refined.shape == trace.y_up.shape
-        assert trace.w.shape == trace.y_up.shape
+        _, sig, calls = traced_forward(np.random.default_rng(11).standard_normal(900),
+                                       params, cfg)  # recording: one call
+        assert calls == 1
+        assert sig["y_up"].shape == (4 * 960,)  # padded to whole 64-sample frames
+        for name in SIGNALS:
+            assert sig[name].shape == sig["y_up"].shape, name
 
 
 class TestBatchedForward:
@@ -286,8 +309,7 @@ class TestBatchedForward:
 
         def run(y, x):
             params = M.init_params(cfg, 41, np.float32)
-            trace = M.forward(y, params, cfg, w_override=w_override)
-            rep = loss_total(Tensor(x), trace.x_hat)
+            rep = loss_total(Tensor(x), M.forward(y, params, cfg, w_override=w_override))
             backward(rep.tensor)
             return rep.total, {k: np.zeros_like(p.data) if p.grad is None else p.grad
                                for k, p in params.items()}
@@ -324,8 +346,7 @@ class TestInferenceMemory:
 
     def test_no_grad_forward_peak_flat_in_windows(self, monkeypatch):
         """Over 8 windows the traced heap peak is within 10% of the 2-window
-        peak: without ``trace`` a windowed forward keeps no whole-file array
-        at the 4x rate, only the input and ``x_hat`` (7.15 against 6.96 MB at
+        peak: a windowed forward keeps no whole-file array at the 4x rate, only the input and ``x_hat`` (7.15 against 6.96 MB at
         numpy 2.4). In one pass it grows about 4x (12.3 -> 33.8 MB)."""
         import tracemalloc
         cfg = tiny_cfg(hidden=8, depth=3)
@@ -375,14 +396,21 @@ class TestInferenceMemory:
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_no_grad_and_recording_outputs_byte_equal(self, variant):
+        """In float32 as restored, a one-window no-grad forward gives the
+        recording forward's bits: x_hat and each 4x-rate signal."""
         cfg = tiny_cfg(variant)
         params = M.init_params(cfg, 41)
         y = np.random.default_rng(42).standard_normal((2, 1500)).astype(np.float32)
         with T.no_grad():
-            quiet = M.forward(y, params, cfg).x_hat
-        recorded = M.forward(y, params, cfg).x_hat
+            quiet, got, calls = traced_forward(y, params, cfg)
+        recorded, want, _ = traced_forward(y, params, cfg)
         assert recorded._parents
+        assert calls == 1
         assert quiet.data.tobytes() == recorded.data.tobytes()
+        for name in SIGNALS:
+            assert (got[name] is None) == (want[name] is None), name
+            if want[name] is not None:
+                assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestTrainingMemory:
@@ -399,17 +427,16 @@ class TestTrainingMemory:
         rng = np.random.default_rng(51)
         clean = (rng.standard_normal((2, 4000)) * 0.3).astype(np.float32)
         dist = (clean + 0.1 * rng.standard_normal(clean.shape)).astype(np.float32)
-        trace = M.forward(dist, params, cfg)
-        return params, trace, loss_total(Tensor(clean, dtype=np.float32), trace.x_hat).tensor
+        x_hat = M.forward(dist, params, cfg)
+        return params, x_hat, loss_total(Tensor(clean, dtype=np.float32), x_hat).tensor
 
     def test_backward_releases_tape_and_keeps_leaf_grads(self):
-        params, trace, root = self.drill_loss()
-        assert trace.x_hat._parents
+        params, x_hat, root = self.drill_loss()
+        assert x_hat._parents
         backward(root)
         for name, p in params.items():
             assert p.grad is not None and p.grad.shape == p.shape, name
         np.testing.assert_array_equal(root.grad, np.ones_like(root.data))
-        x_hat = trace.x_hat
         assert x_hat.grad is None and x_hat._backward is None and x_hat._parents == ()
 
     def test_backward_peak_bounded_by_tape(self):
@@ -454,15 +481,18 @@ class TestTrainingMemory:
 
 
 class TestWindowedForward:
-    """A no-grad forward run in several windows against the same forward in
-    one window, in float64: ``x_hat`` within 1e-15 of its peak, and with
-    ``trace`` every trace array too."""
+    """A no-grad forward against the recording forward's one pass, in
+    float64: ``x_hat`` and every 4x-rate signal stitched from ``on_window``
+    byte-equal in one window, and in several within 1e-15 of each one's
+    peak: a window's shorter matrix products round a few values otherwise,
+    by up to 0.07 of the peak's float64 epsilon where measured."""
     # Depth-3 frames are 16 input samples, and inputs are padded to whole
     # multiples of 4 frames. With 7-frame windows, 448 samples are exactly 4
-    # windows, 449 samples add a fifth window of 4 frames, and 576 samples end
-    # in a window of 1 frame, shorter than every variant's halo.
+    # windows, 449 samples add a fifth window of 4 frames, 576 samples end
+    # in a window of 1 frame, shorter than every variant's halo, and the last
+    # window of 520 samples lies wholly in the padding.
     WINDOW = 7
-    LENGTHS = {448: 4, 449: 5, 576: 6}
+    LENGTHS = {448: 4, 449: 5, 576: 6, 520: 6}
 
     @pytest.mark.parametrize("w_override", [None, 0.5])
     @pytest.mark.parametrize("lead", [(), (2,)])
@@ -477,25 +507,25 @@ class TestWindowedForward:
         rng = np.random.default_rng(44)
         for n, windows in self.LENGTHS.items():
             y = rng.standard_normal(lead + (n,)) * 0.3
-            traces = []
-            for frames, trace in ((10**6, False), (self.WINDOW, False), (self.WINDOW, True)):
+            recorded, want, _ = traced_forward(y, params, cfg, w_override=w_override)
+            for frames in (10**6, self.WINDOW):
                 monkeypatch.setattr(M, "_WINDOW_BYTES", frames * 4 * M.frame_width(cfg))
                 calls.clear()
                 with T.no_grad():
-                    traces.append(M.forward(y, params, cfg, w_override=w_override, trace=trace))
+                    x_hat, got, _ = traced_forward(y, params, cfg, w_override=w_override)
                 assert len(calls) == (1 if frames > self.WINDOW else windows)
-            one, plain, windowed = traces
-            err = np.max(np.abs(one.x_hat.data - plain.x_hat.data))
-            assert err <= 1e-15 * np.max(np.abs(one.x_hat.data)), ("x_hat", n, err)
-            for name in ("y_up", "x_hat_up", "mask", "refined", "w"):
-                assert getattr(plain, name) is None, name  # no trace asked for
-            for name in ("x_hat", "y_up", "x_hat_up", "mask", "refined", "w"):
-                a, b = getattr(one, name), getattr(windowed, name)
-                assert (a is None) == (b is None), name
-                if a is not None:
+                got["x_hat"], want["x_hat"] = x_hat.data, recorded.data
+                for name, a in want.items():
+                    b = got[name]
+                    assert (a is None) == (b is None), name
+                    if a is None:
+                        continue
                     assert a.shape == b.shape, name
-                    err = np.max(np.abs(a.data - b.data))
-                    assert err <= 1e-15 * np.max(np.abs(a.data)), (name, n, err)
+                    if frames > self.WINDOW:
+                        assert a.tobytes() == b.tobytes(), (name, n)
+                    else:
+                        err = np.max(np.abs(a - b))
+                        assert err <= 1e-15 * np.max(np.abs(a)), (name, n, err)
 
     @pytest.mark.parametrize("lead", [(), (2,)])
     def test_resampling_per_window_matches_whole_file(self, monkeypatch, lead):
@@ -508,14 +538,15 @@ class TestWindowedForward:
         monkeypatch.setattr(M, "_WINDOW_BYTES", 37 * 4 * M.frame_width(cfg))
         y = (np.random.default_rng(50).standard_normal(lead + (9001,)) * 0.4).astype(np.float32)
         with T.no_grad():
-            tr = M.forward(y, params, cfg, trace=True)
+            x_hat, sig, calls = traced_forward(y, params, cfg)
             x = Tensor(y)
             sigma = T.std(x, -1, keepdims=True)
             xn = T.pad_axis(x / (sigma + M.STD_FLOOR), -1, 0, (-9001) % 64)
             want_up = upsample_4x(xn).data
-            want = downsample_4x(tr.x_hat_up).data[..., :9001] * sigma.data
-        np.testing.assert_array_equal(tr.y_up.data, want_up)
-        np.testing.assert_array_equal(tr.x_hat.data, want)
+            want = downsample_4x(sig["x_hat_up"]).data[..., :9001] * sigma.data
+        assert calls > 1
+        np.testing.assert_array_equal(sig["y_up"], want_up)
+        np.testing.assert_array_equal(x_hat.data, want)
 
     def test_recording_forward_runs_in_one_pass(self, monkeypatch):
         cfg = tiny_cfg()
