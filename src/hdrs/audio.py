@@ -1,7 +1,9 @@
 """Mono waveform container and PCM WAV I/O.
 
 Canonical format is 16-bit little-endian mono at 16 kHz. The reader also
-accepts 24-bit PCM; both are converted to float in [-1, 1]. The writer
+accepts 24-bit, in the plain PCM form only: ``wave`` refuses
+WAVE_FORMAT_EXTENSIBLE (tag 65534) and IEEE-float files, which raise
+``WavFormatError``. Samples are converted to float in [-1, 1]. The writer
 always emits 16-bit PCM with deterministic rounding, so identical float
 input produces byte-identical files.
 """

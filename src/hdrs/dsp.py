@@ -19,7 +19,7 @@ per-sample filtering within 1e-10 x the output peak.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -145,11 +145,8 @@ def stft_magnitude(x, cfg: StftConfig) -> Tensor:
 @dataclass
 class BiquadCascade:
     """Second-order sections (b0, b1, b2, a1, a2), a1/a2 normalized by a0."""
-    sections: list = field(default_factory=list)
-    order: int = 0
-    cutoff_hz: object = None
-    kind: str = ""
-    sample_rate: float = 0.0
+    sections: list
+    sample_rate: float
 
 
 _ORDERS = (2, 4, 6, 8)
@@ -201,7 +198,7 @@ def design_butterworth(order: int, cutoff_hz, sr_hz: float, kind: str) -> Biquad
         sections = _butterworth_sections(order, fc, sr_hz, highpass=(kind == "highpass"))
     else:
         raise ValueError(f"unknown filter kind {kind!r}")
-    cascade = BiquadCascade(sections, order, cutoff_hz, kind, sr_hz)
+    cascade = BiquadCascade(sections, sr_hz)
     if pole_radius(cascade) >= 1.0 - 1e-6:
         raise InvalidCutoff(f"{kind} at {cutoff_hz} Hz yields near-unstable poles")
     return cascade

@@ -3,8 +3,9 @@
 One utterance is corrupted as ``bandlimit(clean * rir) + scaled_noise``
 (reverb first, spectral shaping outermost, noise added last). Every random
 draw derives from the record seed alone, so a corpus regenerates
-bit-identically from its manifest. Subset tags select which stages apply:
-N = noise, R = noise+reverb, B = band-limit only, A = all three.
+bit-identically from its manifest, whose every row is a ``Distortion``
+recipe. Subset tags select which stages apply: N = noise, R = noise+reverb,
+B = band-limit only, A = all three.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from .audio import CANONICAL_RATE, AudioBuffer, EmptyInput, read_wav, write_wav
 from .dsp import convolve_full, design_butterworth, filter_apply
 from .loss import LengthMismatch
 
-SUBSETS = ("N", "R", "B", "A")
+# the stages each subset tag may carry: (noise, reverb, band-limit)
+STAGES = {"N": (True, False, False), "R": (True, True, False),
+          "B": (False, False, True), "A": (True, True, True)}
 TRAIN_SNRS_DB = (0.0, 5.0, 10.0, 15.0)
 TEST_SNRS_DB = (2.5, 7.5, 12.5, 17.5)
 LOWPASS_RANGE_HZ = (4000.0, 7500.0)
@@ -38,45 +41,29 @@ class SilentNoise(ValueError):
     pass
 
 
-class Unsupported(ValueError):
-    pass
-
-
 class ManifestError(ValueError):
     pass
 
 
 @dataclass
-class RirSpec:
-    t60_seconds: float
-    length_samples: int
-
-
-@dataclass
-class BandlimitSpec:
-    kind: str  # lowpass | highpass | bandpass
-    order: int
-    cutoff_hz: object  # float, or (low, high) for bandpass
-    family: str = "butterworth"
-
-
-@dataclass
-class DistortionSpec:
+class Distortion:
+    """One utterance's recipe: exactly the fields a manifest row stores. A
+    stage whose field is None does not run; the RIR length is ``t60`` seconds
+    and the filter is an order-``FILTER_ORDER`` Butterworth."""
     seed: int
     subset: str
     snr_db: float | None = None
-    rir: RirSpec | None = None
-    bandlimit: BandlimitSpec | None = None
+    t60: float | None = None
+    filter_kind: str | None = None  # lowpass | highpass | bandpass
+    cutoffs: object = None  # float, or (low, high) for bandpass
 
     def __post_init__(self):
         # the tag bounds which stages may appear; sample_spec always fills
-        # every allowed stage, but a partial spec (identity pipeline) is legal
-        allowed = {"N": (True, False, False), "R": (True, True, False),
-                   "B": (False, False, True), "A": (True, True, True)}
-        if self.subset not in allowed:
+        # every allowed stage, but a partial recipe (identity pipeline) is legal
+        if self.subset not in STAGES:
             raise ValueError(f"unknown subset {self.subset!r}")
-        has = (self.snr_db is not None, self.rir is not None, self.bandlimit is not None)
-        for name, h, a in zip(("snr_db", "rir", "bandlimit"), has, allowed[self.subset]):
+        has = (self.snr_db is not None, self.t60 is not None, self.filter_kind is not None)
+        for name, h, a in zip(("snr_db", "t60", "filter_kind"), has, STAGES[self.subset]):
             if h and not a:
                 raise ValueError(f"subset {self.subset} forbids {name}")
 
@@ -132,13 +119,7 @@ def synth_rir(t60: float, length: int, seed, sr: int) -> np.ndarray:
     return h
 
 
-def _design_bandlimit(bl: BandlimitSpec, sr: int):
-    if bl.family != "butterworth":
-        raise Unsupported(f"filter family {bl.family!r} not implemented")
-    return design_butterworth(bl.order, bl.cutoff_hz, float(sr), bl.kind)
-
-
-def apply_distortion(x: AudioBuffer, spec: DistortionSpec,
+def apply_distortion(x: AudioBuffer, spec: Distortion,
                      noise: AudioBuffer | None = None):
     """Run the configured stages in order; returns (distorted, peak gain).
 
@@ -147,13 +128,14 @@ def apply_distortion(x: AudioBuffer, spec: DistortionSpec,
     """
     y = np.asarray(x.samples, dtype=np.float64)
     sr = x.sample_rate
-    if spec.rir is not None:
-        rir = synth_rir(spec.rir.t60_seconds, spec.rir.length_samples,
+    if spec.t60 is not None:
+        rir = synth_rir(spec.t60, round(spec.t60 * sr),
                         np.random.SeedSequence([spec.seed, 1]), sr)
         y = convolve_full(y, rir)
-    if spec.bandlimit is not None:
-        y = filter_apply(_design_bandlimit(spec.bandlimit, sr),
-                         AudioBuffer(y, sr)).samples
+    if spec.filter_kind is not None:
+        cascade = design_butterworth(FILTER_ORDER, spec.cutoffs, float(sr),
+                                     spec.filter_kind)
+        y = filter_apply(cascade, AudioBuffer(y, sr)).samples
     if spec.snr_db is not None:
         if noise is None:
             raise ValueError("spec requests noise but none was provided")
@@ -166,73 +148,49 @@ def apply_distortion(x: AudioBuffer, spec: DistortionSpec,
     return AudioBuffer(y, sr), gain
 
 
-def record_noise(spec: DistortionSpec, n: int, sr: int) -> AudioBuffer | None:
+def record_noise(spec: Distortion, n: int, sr: int) -> AudioBuffer | None:
     """The seeded synthetic noise track for a record, or None if unused."""
     if spec.snr_db is None:
         return None
     return AudioBuffer(white_noise(n, np.random.SeedSequence([spec.seed, 3])), sr)
 
 
-def sample_spec(subset: str, split: str, seed: int,
-                sr: int = CANONICAL_RATE) -> DistortionSpec:
-    """Draw one distortion recipe; identical seeds give identical specs."""
-    if subset not in SUBSETS:
+def sample_spec(subset: str, split: str, seed: int) -> Distortion:
+    """Draw one distortion recipe; identical seeds give identical recipes."""
+    if subset not in STAGES:
         raise ValueError(f"unknown subset {subset!r}")
     if split not in ("train", "test"):
         raise ValueError(f"unknown split {split!r}")
+    noisy, reverberant, banded = STAGES[subset]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    snr = rir = bandlimit = None
-    if subset in ("N", "R", "A"):
+    snr = t60 = kind = cutoffs = None
+    if noisy:
         pool = TRAIN_SNRS_DB if split == "train" else TEST_SNRS_DB
         snr = float(pool[rng.integers(len(pool))])
-    if subset in ("R", "A"):
+    if reverberant:
         t60 = float(rng.uniform(*T60_RANGE_S))
-        rir = RirSpec(t60, int(round(t60 * sr)))
-    if subset in ("B", "A"):
+    if banded:
         if subset == "B" and split == "test":
-            cutoff = float(SUBSET_B_TEST_CUTOFFS_HZ[
+            kind = "lowpass"
+            cutoffs = float(SUBSET_B_TEST_CUTOFFS_HZ[
                 rng.integers(len(SUBSET_B_TEST_CUTOFFS_HZ))])
-            bandlimit = BandlimitSpec("lowpass", FILTER_ORDER, cutoff)
         else:
             kind = FILTER_KINDS[rng.integers(len(FILTER_KINDS))]
             lo = float(rng.uniform(*HIGHPASS_RANGE_HZ))
             hi = float(rng.uniform(*LOWPASS_RANGE_HZ))
-            cutoff = {"lowpass": hi, "highpass": lo, "bandpass": (lo, hi)}[kind]
-            bandlimit = BandlimitSpec(kind, FILTER_ORDER, cutoff)
-    return DistortionSpec(seed=seed, subset=subset, snr_db=snr,
-                          rir=rir, bandlimit=bandlimit)
-
-
-def spec_from_fields(seed: int, subset: str, snr_db, t60, filter_kind, cutoffs,
-                     sr: int = CANONICAL_RATE) -> DistortionSpec:
-    """Rebuild a spec from manifest fields (rir length and filter order
-    follow the same fixed rules used when sampling)."""
-    rir = None if t60 is None else RirSpec(t60, int(round(t60 * sr)))
-    bandlimit = None
-    if filter_kind is not None:
-        bandlimit = BandlimitSpec(filter_kind, FILTER_ORDER, cutoffs)
-    return DistortionSpec(seed=seed, subset=subset, snr_db=snr_db,
-                          rir=rir, bandlimit=bandlimit)
+            cutoffs = {"lowpass": hi, "highpass": lo, "bandpass": (lo, hi)}[kind]
+    return Distortion(seed, subset, snr, t60, kind, cutoffs)
 
 
 # -- manifests -----------------------------------------------------------------
 
 
-@dataclass
-class ManifestRecord:
+@dataclass(kw_only=True)
+class ManifestRecord(Distortion):
+    """A manifest row: the recipe plus where its pair lives and the peak gain."""
     clean_path: str
     distorted_path: str
-    subset: str
-    seed: int
-    snr_db: float | None
-    t60: float | None
-    filter_kind: str | None
-    cutoffs: object  # float | (low, high) | None
     norm_gain: float
-
-    def spec(self, sr: int = CANONICAL_RATE) -> DistortionSpec:
-        return spec_from_fields(self.seed, self.subset, self.snr_db, self.t60,
-                                self.filter_kind, self.cutoffs, sr)
 
 
 def _fmt_cutoffs(c) -> str:
@@ -275,15 +233,16 @@ def read_manifest(path):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            key, _, val = line[1:].partition("=")
-            if key == "sample_rate":
-                sr = int(val)
-            continue
-        parts = line.split("\t")
-        if len(parts) != 9:
-            raise ManifestError(f"{path}: line {lineno}: expected 9 fields, got {len(parts)}")
         try:
+            if line.startswith("#"):
+                key, _, val = line[1:].partition("=")
+                if key == "sample_rate":
+                    sr = int(val)
+                continue
+            parts = line.split("\t")
+            if len(parts) != 9:
+                raise ValueError(f"expected 9 fields, got {len(parts)}")
+            # the recipe's own check refuses stages its subset tag forbids
             records.append(ManifestRecord(
                 clean_path=parts[0], distorted_path=parts[1], subset=parts[2],
                 seed=int(parts[3]),
@@ -293,7 +252,7 @@ def read_manifest(path):
                 cutoffs=_parse_cutoffs(parts[7]),
                 norm_gain=float(parts[8]),
             ))
-        except (ValueError, IndexError) as e:
+        except ValueError as e:
             raise ManifestError(f"{path}: line {lineno}: {e}") from None
     return sr, records
 
@@ -330,21 +289,14 @@ def generate_corpus(clean_paths: list, out_dir, subset: str, split: str,
         clean_path = clean_paths[i % len(clean_paths)]
         clean = read_wav(clean_path, sr)
         rseed = derive_record_seed(seed, i)
-        spec = sample_spec(subset, split, rseed, sr)
+        spec = sample_spec(subset, split, rseed)
         noise = record_noise(spec, len(clean), sr)
         distorted, gain = apply_distortion(clean, spec, noise)
         name = f"{Path(clean_path).stem}_{subset}_{i:05d}.wav"
         dist_path = out_dir / name
         write_wav(dist_path, distorted)
-        bl = spec.bandlimit
-        records.append(ManifestRecord(
-            clean_path=clean_path, distorted_path=str(dist_path), subset=subset,
-            seed=rseed, snr_db=spec.snr_db,
-            t60=None if spec.rir is None else spec.rir.t60_seconds,
-            filter_kind=None if bl is None else bl.kind,
-            cutoffs=None if bl is None else bl.cutoff_hz,
-            norm_gain=gain,
-        ))
+        records.append(ManifestRecord(**vars(spec), clean_path=clean_path,
+                                      distorted_path=str(dist_path), norm_gain=gain))
     manifest_path = out_dir / "manifest.tsv"
     write_manifest(manifest_path, records, sr)
     return manifest_path, records

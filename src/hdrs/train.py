@@ -14,6 +14,7 @@ arithmetic of an uninterrupted run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -206,9 +207,13 @@ class _Corpus:
         return (np.pad(clean, (0, pad)), np.pad(dist, (0, pad)))
 
 
+@functools.lru_cache(maxsize=4)
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
+    # every item of an epoch reads the same shuffle, so it is drawn once
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7001, epoch]))
-    return rng.permutation(n)
+    order = rng.permutation(n)
+    order.setflags(write=False)
+    return order
 
 
 def _crop_offset(seed: int, epoch: int, item: int, max_offset: int) -> int:

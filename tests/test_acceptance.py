@@ -164,9 +164,7 @@ def test_criterion_6_distortion_simulator(tmp_path):
     freqs = np.arange(cfg.bins) * SR / cfg.fft_bins
     attens = []
     for cutoff in (4000.0, 5000.0, 6000.0):
-        spec = S.DistortionSpec(seed=603, subset="B",
-                                bandlimit=S.BandlimitSpec("lowpass", S.FILTER_ORDER,
-                                                          cutoff))
+        spec = S.Distortion(seed=603, subset="B", filter_kind="lowpass", cutoffs=cutoff)
         out, _ = S.apply_distortion(AudioBuffer(x, SR), spec)
         band = freqs > cutoff + 1000.0
         e_in = (stft_magnitude(x, cfg).data ** 2)[:, band].sum()
@@ -187,8 +185,7 @@ def test_criterion_6_distortion_simulator(tmp_path):
     regen_ok = True
     for r in records:
         clean = read_wav(r.clean_path, SR)
-        spec = r.spec(SR)
-        redone, gain = S.apply_distortion(clean, spec, S.record_noise(spec, len(clean), SR))
+        redone, gain = S.apply_distortion(clean, r, S.record_noise(r, len(clean), SR))
         rebuilt = tmp_path / "rebuilt.wav"
         write_wav(rebuilt, redone)
         name = r.distorted_path.rsplit("/", 1)[-1]

@@ -99,7 +99,8 @@ class TestEvaluate:
     def test_identity_manifest(self, eval_setup, tmp_path):
         root, _, cfg, params = eval_setup
         clean = str(root / "clean" / "clean00.wav")
-        records = [ManifestRecord(clean, clean, "N", 1, 5.0, None, None, None, 1.0)]
+        records = [ManifestRecord(seed=1, subset="N", snr_db=5.0, clean_path=clean,
+                                  distorted_path=clean, norm_gain=1.0)]
         p = tmp_path / "ident.tsv"
         write_manifest(p, records)
         report = MT.evaluate(p, params, cfg)
@@ -109,9 +110,10 @@ class TestEvaluate:
     def test_subset_filter(self, eval_setup, tmp_path):
         root, manifest, cfg, params = eval_setup
         _, records = S.read_manifest(manifest)
-        mixed = records + [ManifestRecord(records[0].clean_path,
-                                          records[0].distorted_path,
-                                          "B", 9, None, None, "lowpass", 4000.0, 1.0)]
+        mixed = records + [ManifestRecord(seed=9, subset="B", filter_kind="lowpass",
+                                          cutoffs=4000.0, clean_path=records[0].clean_path,
+                                          distorted_path=records[0].distorted_path,
+                                          norm_gain=1.0)]
         p = tmp_path / "mixed.tsv"
         write_manifest(p, mixed)
         report = MT.evaluate(p, params, cfg, subset="B")

@@ -10,6 +10,60 @@ from synth import make_clean_dir, synth_voice
 
 SR = 16000
 
+# (seed, snr_db, t60, filter_kind, cutoffs) of each record drawn by
+# generate_corpus(..., seed=41, count=4): the RNG draws alone, held across
+# refactors so a recipe change cannot pass by matching itself
+RECIPE_PINS = {
+    ("N", "train"): [
+        (3566257030, 0.0, None, None, None),
+        (1669946257, 15.0, None, None, None),
+        (634230174, 0.0, None, None, None),
+        (861991420, 5.0, None, None, None),
+    ],
+    ("N", "test"): [
+        (3566257030, 2.5, None, None, None),
+        (1669946257, 17.5, None, None, None),
+        (634230174, 2.5, None, None, None),
+        (861991420, 7.5, None, None, None),
+    ],
+    ("R", "train"): [
+        (3566257030, 0.0, 0.22616893243523406, None, None),
+        (1669946257, 15.0, 0.7143065292148776, None, None),
+        (634230174, 0.0, 0.6000449260952406, None, None),
+        (861991420, 5.0, 0.45091369336027326, None, None),
+    ],
+    ("R", "test"): [
+        (3566257030, 2.5, 0.22616893243523406, None, None),
+        (1669946257, 17.5, 0.7143065292148776, None, None),
+        (634230174, 2.5, 0.6000449260952406, None, None),
+        (861991420, 7.5, 0.45091369336027326, None, None),
+    ],
+    ("B", "train"): [
+        (3566257030, None, None, "lowpass", 5034.636936617578),
+        (1669946257, None, None, "bandpass", (87.14597938223162, 5510.578443934586)),
+        (634230174, None, None, "lowpass", 7022.474407065811),
+        (861991420, None, None, "highpass", 47.637054004040984),
+    ],
+    ("B", "test"): [
+        (3566257030, None, None, "lowpass", 4000.0),
+        (1669946257, None, None, "lowpass", 7000.0),
+        (634230174, None, None, "lowpass", 4000.0),
+        (861991420, None, None, "lowpass", 5000.0),
+    ],
+    ("A", "train"): [
+        (3566257030, 0.0, 0.22616893243523406, "lowpass", 7223.453425598953),
+        (1669946257, 15.0, 0.7143065292148776, "lowpass", 6298.052298173376),
+        (634230174, 0.0, 0.6000449260952406, "highpass", 87.72077046740657),
+        (861991420, 5.0, 0.45091369336027326, "lowpass", 5625.354791898954),
+    ],
+    ("A", "test"): [
+        (3566257030, 2.5, 0.22616893243523406, "lowpass", 7223.453425598953),
+        (1669946257, 17.5, 0.7143065292148776, "lowpass", 6298.052298173376),
+        (634230174, 2.5, 0.6000449260952406, "highpass", 87.72077046740657),
+        (861991420, 7.5, 0.45091369336027326, "lowpass", 5625.354791898954),
+    ],
+}
+
 
 def measured_snr_db(signal, noisy):
     added = noisy - signal
@@ -91,7 +145,7 @@ class TestSynthRir:
 class TestApplyDistortion:
     def test_identity_pipeline(self):
         x = AudioBuffer(synth_voice(3000, SR, 11), SR)
-        spec = S.DistortionSpec(seed=1, subset="A")  # no stages set
+        spec = S.Distortion(seed=1, subset="A")  # no stages set
         out, gain = S.apply_distortion(x, spec)
         np.testing.assert_array_equal(out.samples, x.samples)
         assert gain == 1.0
@@ -108,8 +162,7 @@ class TestApplyDistortion:
 
     def test_subset_b_lowpass_band_attenuation(self):
         x = synth_voice(32000, SR, 14)
-        spec = S.DistortionSpec(seed=2, subset="B",
-                                bandlimit=S.BandlimitSpec("lowpass", 8, 4000.0))
+        spec = S.Distortion(seed=2, subset="B", filter_kind="lowpass", cutoffs=4000.0)
         out, _ = S.apply_distortion(AudioBuffer(x, SR), spec)
         cfg = StftConfig(512, 120, 512)
         freqs = np.arange(cfg.bins) * SR / cfg.fft_bins
@@ -126,17 +179,9 @@ class TestApplyDistortion:
         out_a, _ = S.apply_distortion(x, spec_a, S.record_noise(spec_a, len(x), SR))
         assert not np.allclose(out_n.samples, out_a.samples)
 
-    def test_unsupported_family(self):
-        x = AudioBuffer(synth_voice(2000, SR, 17), SR)
-        spec = S.DistortionSpec(seed=3, subset="B",
-                                bandlimit=S.BandlimitSpec("lowpass", 8, 4000.0,
-                                                          family="bessel"))
-        with pytest.raises(S.Unsupported):
-            S.apply_distortion(x, spec)
-
     def test_peak_guard_records_gain(self):
         x = AudioBuffer(0.995 * synth_voice(4000, SR, 18) / 0.5, SR)  # near full scale
-        spec = S.DistortionSpec(seed=4, subset="N", snr_db=0.0)
+        spec = S.Distortion(seed=4, subset="N", snr_db=0.0)
         noise = S.record_noise(spec, len(x), SR)
         out, gain = S.apply_distortion(x, spec, noise)
         assert gain < 1.0
@@ -154,7 +199,7 @@ class TestSampleSpec:
                             ("B", (False, False, True)), ("A", (True, True, True))):
             for i in range(5):
                 sp = S.sample_spec(subset, "train", seed=100 + i)
-                got = (sp.snr_db is not None, sp.rir is not None, sp.bandlimit is not None)
+                got = (sp.snr_db is not None, sp.t60 is not None, sp.filter_kind is not None)
                 assert got == has
 
     def test_train_and_test_snr_pools(self):
@@ -165,30 +210,28 @@ class TestSampleSpec:
     def test_subset_b_test_specs(self):
         for i in range(20):
             sp = S.sample_spec("B", "test", i)
-            assert sp.bandlimit.kind == "lowpass"
-            assert sp.bandlimit.cutoff_hz in S.SUBSET_B_TEST_CUTOFFS_HZ
+            assert sp.filter_kind == "lowpass"
+            assert sp.cutoffs in S.SUBSET_B_TEST_CUTOFFS_HZ
 
     def test_sampled_ranges(self):
         kinds = set()
         for i in range(40):
             sp = S.sample_spec("A", "train", i)
-            kinds.add(sp.bandlimit.kind)
-            assert S.T60_RANGE_S[0] <= sp.rir.t60_seconds <= S.T60_RANGE_S[1]
-            bl = sp.bandlimit
-            if bl.kind == "lowpass":
-                assert S.LOWPASS_RANGE_HZ[0] <= bl.cutoff_hz <= S.LOWPASS_RANGE_HZ[1]
-            elif bl.kind == "highpass":
-                assert S.HIGHPASS_RANGE_HZ[0] <= bl.cutoff_hz <= S.HIGHPASS_RANGE_HZ[1]
+            kinds.add(sp.filter_kind)
+            assert S.T60_RANGE_S[0] <= sp.t60 <= S.T60_RANGE_S[1]
+            if sp.filter_kind == "lowpass":
+                assert S.LOWPASS_RANGE_HZ[0] <= sp.cutoffs <= S.LOWPASS_RANGE_HZ[1]
+            elif sp.filter_kind == "highpass":
+                assert S.HIGHPASS_RANGE_HZ[0] <= sp.cutoffs <= S.HIGHPASS_RANGE_HZ[1]
             else:
-                lo, hi = bl.cutoff_hz
+                lo, hi = sp.cutoffs
                 assert S.HIGHPASS_RANGE_HZ[0] <= lo <= S.HIGHPASS_RANGE_HZ[1]
                 assert S.LOWPASS_RANGE_HZ[0] <= hi <= S.LOWPASS_RANGE_HZ[1]
         assert kinds == set(S.FILTER_KINDS)
 
     def test_forbidden_fields_rejected(self):
         with pytest.raises(ValueError):
-            S.DistortionSpec(seed=0, subset="N",
-                             bandlimit=S.BandlimitSpec("lowpass", 8, 4000.0))
+            S.Distortion(seed=0, subset="N", filter_kind="lowpass", cutoffs=4000.0)
 
 
 class TestCorpus:
@@ -204,6 +247,21 @@ class TestCorpus:
         p = tmp_path / "bad.tsv"
         p.write_text("#sample_rate=16000\na\tb\tc\n", encoding="utf-8")
         with pytest.raises(S.ManifestError, match="line 2"):
+            S.read_manifest(p)
+
+    def test_bad_sample_rate_names_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_text("\n#sample_rate=abc\n", encoding="utf-8")
+        with pytest.raises(S.ManifestError, match=r"bad\.tsv: line 2"):
+            S.read_manifest(p)
+
+    def test_forbidden_stage_row_fails_at_read(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_text("#sample_rate=16000\n"
+                     "c.wav\td.wav\tN\t1\t5.0\t-\t-\t-\t1.0\n"
+                     "c.wav\td.wav\tN\t2\t5.0\t-\tlowpass\t4000.0\t1.0\n",
+                     encoding="utf-8")
+        with pytest.raises(S.ManifestError, match="line 3: subset N forbids filter_kind"):
             S.read_manifest(p)
 
     def test_regeneration_is_byte_identical(self, tmp_path):
@@ -225,9 +283,7 @@ class TestCorpus:
         _, records = S.read_manifest(manifest)
         for r in records:
             x = read_wav(r.clean_path, SR)
-            spec = r.spec(SR)
-            noise = S.record_noise(spec, len(x), SR)
-            redone, gain = S.apply_distortion(x, spec, noise)
+            redone, gain = S.apply_distortion(x, r, S.record_noise(r, len(x), SR))
             assert gain == r.norm_gain
             target = tmp_path / "redo.wav"
             write_wav(target, redone)
@@ -241,3 +297,12 @@ class TestCorpus:
         for r in records:
             s = read_wav(r.distorted_path, SR).samples
             assert np.max(np.abs(s)) <= 1.0
+
+    def test_recipe_draws_are_pinned(self, tmp_path):
+        clean = make_clean_dir(tmp_path / "clean", 1, 800, seed=40)
+        for (subset, split), want in RECIPE_PINS.items():
+            manifest, _ = S.generate_corpus(clean, tmp_path / subset / split,
+                                            subset, split, seed=41, count=4)
+            _, back = S.read_manifest(manifest)
+            got = [(r.seed, r.snr_db, r.t60, r.filter_kind, r.cutoffs) for r in back]
+            assert got == want, (subset, split)
