@@ -19,6 +19,9 @@ it by exactly ``stride``. Output is trimmed back to the input length.
 
 from __future__ import annotations
 
+import queue
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +42,20 @@ STD_FLOOR = 1e-5
 # of the forward's widest float32 activation (``frame_width``): 160 frames,
 # 2.56 s, at hidden_ch 48 and depth 5, and 3840 frames, 3.84 s, at hidden_ch 4
 # and depth 3. An input of at most one window is one window. This bounds the
-# forward's working set independently of the input length.
+# forward's working set independently of the input length. Where the forward
+# is pipelined (below), two windows are in flight and share the budget, each
+# half of it: 80 frames, 1.28 s, at hidden_ch 48 and depth 5.
 _WINDOW_BYTES = 15 << 20
+# A no-grad forward of more than one window whose bottleneck LSTM is at least
+# this wide (channels[-1]; 768 at hidden_ch 48 and depth 5) runs each window's
+# encoder and LSTM on a helper thread one window ahead of the decoders, which
+# stay on the calling thread. Its LSTM steps are matrix-vector products that
+# release the GIL for long enough to overlap; at narrower widths both stages
+# are chains of small numpy calls holding the GIL, and the helper costs time.
+# At depth 5 on 24 s (one BLAS thread, 2-vCPU VM) the helper took a forward
+# from 0.020 to 0.023 s/s at width 64, gained nothing clear at 128, and cut
+# 8-23% at 192, 17-21% at 256 and 31-38% at 384 and 512.
+_PIPELINE_WIDTH = 192
 
 
 class InvalidLength(ValueError):
@@ -285,10 +300,11 @@ def halo_frames(cfg: ModelConfig) -> tuple:
     return enc, max(-first, last + 1)
 
 
-def _core(h: Tensor, params: dict, cfg: ModelConfig, w_override, carry=None) -> tuple:
-    """Encoder, LSTM, decoders and fusion over an upsampled [..., 1, L_up]
-    input; returns (x_hat_up, mask, refined, w), each [..., 1, L_up] or None."""
-    bottleneck, skips = encode(h, params, cfg, carry)
+def _decode(h: Tensor, bottleneck: Tensor, skips: list, params: dict, cfg: ModelConfig,
+            w_override) -> tuple:
+    """Decoders and fusion over ``encode``'s output for the upsampled
+    [..., 1, L_up] input ``h``; returns (x_hat_up, mask, refined, w), each
+    [..., 1, L_up] or None."""
     mask2 = refined2 = w2 = enc_feeds = None
     v = cfg.variant
     if v in ("demucs_baseline", "refinement_only", "no_fusion_no_skip"):
@@ -318,22 +334,17 @@ def _core(h: Tensor, params: dict, cfg: ModelConfig, w_override, carry=None) -> 
     return out2, mask2, refined2, w2
 
 
-def _windowed_forward(x: Tensor, sigma: Tensor, params: dict, cfg: ModelConfig, w_override,
-                      on_window) -> Tensor:
-    """``forward`` run window by window from the raw input ``x``, with the
-    LSTM state carried across. Each window normalises and upsamples its own
-    slice, widened by the frame halo and the resampler's, decimates its core
-    into ``x_hat``, carrying over the upsampled samples the decimator reads
-    past the window's end, and hands that core to ``on_window``."""
+def _encoded_windows(x: Tensor, scale: np.ndarray, params: dict, cfg: ModelConfig,
+                     total: int, window: int):
+    """The first stage of ``_windowed_forward``: for each window [a, b) of
+    ``window`` bottleneck frames, in order, normalises and upsamples its
+    slice of the raw input ``x``, widened by the frame halo and the
+    resampler's, and runs the encoder and the carried-state LSTM on it;
+    yields (a, b, lo, h, bottleneck, skips), with ``h`` the upsampled slice
+    from frame ``lo`` on."""
     f, r, halo = cfg.stride ** cfg.depth, RESAMPLE_FACTOR, RESAMPLE_HALO
     n, lead = x.shape[-1], x.shape[:-1]
-    total = r * -(-n // f)  # bottleneck frames in the padded, upsampled input
-    window = max(1, _WINDOW_BYTES // (4 * frame_width(cfg)))  # in bottleneck frames
     enc, dec = halo_frames(cfg)
-    scale = (sigma + STD_FLOOR).data
-    x_hat = np.empty(x.shape, x.dtype)
-    # tail: upsampled output from sample r * (done - halo) on, not yet decimated
-    done, tail = 0, np.zeros(lead + (r * halo,), x.dtype)
     state = []
     for a in range(0, total, window):
         b = min(a + window, total)
@@ -352,17 +363,82 @@ def _windowed_forward(x: Tensor, sigma: Tensor, params: dict, cfg: ModelConfig, 
         seg[..., max(m0, 0) - m0:min(m1, n) - m0] = x.data[..., max(m0, 0):min(m1, n)] / scale
         up = upsample_4x(seg).data[..., lo * f - r * m0:hi * f - r * m0]
         h = Tensor(np.ascontiguousarray(up.reshape(lead + (1, -1))))
-        outs = [o if o is None else o.data[..., 0, (a - lo) * f:(b - lo) * f]
-                for o in (h,) + _core(h, params, cfg, w_override, carry)]
-        last = [np.zeros(lead + (r * halo,), x.dtype)] if b == total else []
-        tail = np.concatenate([tail, outs[1]] + last, axis=-1)
-        new = tail.shape[-1] // r - 2 * halo
-        out = x_hat[..., done:done + new]  # empty once done passes n
-        out[...] = downsample_4x(tail[..., :r * (new + 2 * halo)]).data[
-            ..., halo:halo + out.shape[-1]] * sigma.data
-        done, tail = done + new, tail[..., r * new:]
-        if on_window is not None:
-            on_window(a * f, outs)
+        yield (a, b, lo, h) + encode(h, params, cfg, carry)
+
+
+@contextmanager
+def _pulled_ahead(items):
+    """``items`` pulled one item ahead of the caller by a helper thread: it
+    makes item k+1 while the caller works on item k, and starts item k+2
+    only once the caller has taken k+1, so at most two items are alive. An
+    exception from ``items`` is raised in the caller; once the caller leaves
+    the block, even by an exception, the helper stops after its current item
+    and is joined."""
+    asks, gets = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def serve():
+        try:
+            while asks.get():
+                gets.put((True, next(items)))
+        except BaseException as e:  # StopIteration too: the caller's loop ends on it
+            gets.put((False, e))
+        finally:
+            items.close()
+
+    def pull():
+        asks.put(True)
+        while True:
+            ok, item = gets.get()
+            if not ok:
+                if isinstance(item, StopIteration):
+                    return
+                raise item
+            asks.put(True)
+            yield item
+
+    thread = threading.Thread(target=serve, name="hdrs-encode", daemon=True)
+    thread.start()
+    try:
+        yield pull()
+    finally:
+        asks.put(False)
+        thread.join()
+
+
+def _windowed_forward(x: Tensor, sigma: Tensor, params: dict, cfg: ModelConfig, w_override,
+                      on_window) -> Tensor:
+    """``forward`` run window by window from the raw input ``x``, with the
+    LSTM state carried across, in two stages: ``_encoded_windows`` and then
+    the decoders and fusion, which decimate each window's core into
+    ``x_hat``, carrying over the upsampled samples the decimator reads past
+    the window's end, and hand that core to ``on_window``. An input of more
+    than one window at an LSTM width of at least ``_PIPELINE_WIDTH`` runs
+    the first stage one window ahead on a helper thread, in windows of half
+    the budget."""
+    f, r, halo = cfg.stride ** cfg.depth, RESAMPLE_FACTOR, RESAMPLE_HALO
+    n, lead = x.shape[-1], x.shape[:-1]
+    total = r * -(-n // f)  # bottleneck frames in the padded, upsampled input
+    window = max(1, _WINDOW_BYTES // (4 * frame_width(cfg)))  # in bottleneck frames
+    ahead = total > window and cfg.channels[-1] >= _PIPELINE_WIDTH
+    if ahead:  # two windows in flight share the budget
+        window = max(1, window // 2)
+    windows = _encoded_windows(x, (sigma + STD_FLOOR).data, params, cfg, total, window)
+    x_hat = np.empty(x.shape, x.dtype)
+    # tail: upsampled output from sample r * (done - halo) on, not yet decimated
+    done, tail = 0, np.zeros(lead + (r * halo,), x.dtype)
+    with _pulled_ahead(windows) if ahead else nullcontext(windows) as windows:
+        for a, b, lo, h, bottleneck, skips in windows:
+            outs = [o if o is None else o.data[..., 0, (a - lo) * f:(b - lo) * f]
+                    for o in (h,) + _decode(h, bottleneck, skips, params, cfg, w_override)]
+            last = [np.zeros(lead + (r * halo,), x.dtype)] if b == total else []
+            tail = np.concatenate([tail, outs[1]] + last, axis=-1)
+            new = tail.shape[-1] // r - 2 * halo
+            out = x_hat[..., done:done + new]  # empty once done passes n
+            out[...] = downsample_4x(tail[..., :r * (new + 2 * halo)]).data[
+                ..., halo:halo + out.shape[-1]] * sigma.data
+            done, tail = done + new, tail[..., r * new:]
+            if on_window is not None:
+                on_window(a * f, outs)
     return Tensor(x_hat)
 
 
@@ -386,11 +462,20 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None,
     the next, and the decimator the upsampled samples it reads across the
     boundary. A recording forward runs in one pass.
 
+    An input of more than one window, at a bottleneck LSTM width of at
+    least ``_PIPELINE_WIDTH``, is pipelined: a helper thread runs window
+    k+1's upsampling, encoder and LSTM while the calling thread runs window
+    k's decoders, fusion and decimation, so two windows are in flight and
+    each is half the budget. Its bits equal those of the same windows run
+    on one thread. An exception on the helper is raised in the caller, and
+    the helper is joined before ``forward`` returns or raises.
+
     ``on_window(start, [y_up, x_hat_up, mask, refined, w])``, if given, is
-    called once per window with the window's first upsampled sample and
-    numpy views of its slice of each 4x-rate signal, [..., len], over the
-    padded input; an entry is None where the variant has no such signal.
-    A recording forward calls it once, with start 0 and the whole arrays.
+    called once per window, in order and on the calling thread, with the
+    window's first upsampled sample and numpy views of its slice of each
+    4x-rate signal, [..., len], over the padded input; an entry is None
+    where the variant has no such signal. A recording forward calls it
+    once, with start 0 and the whole arrays.
     """
     if isinstance(y, Tensor):
         x = y
@@ -412,7 +497,7 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None,
     y_up = upsample_4x(xn)
     # one input channel: [..., L_up] -> [..., 1, L_up]
     h = T.reshape(y_up, y_up.shape[:-1] + (1, y_up.shape[-1]))
-    outs = _core(h, params, cfg, w_override)
+    outs = _decode(h, *encode(h, params, cfg), params, cfg, w_override)
     if on_window is not None:
         on_window(0, [o if o is None else o.data[..., 0, :] for o in (h,) + outs])
     return T.narrow(downsample_4x(T.reshape(outs[0], y_up.shape)), -1, 0, n) * sigma

@@ -1,5 +1,8 @@
 """Model topology: parameter accounting, shape contracts, variant behavior."""
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
@@ -24,20 +27,35 @@ SIGNALS = ("y_up", "x_hat_up", "mask", "refined", "w")
 def traced_forward(y, params, cfg, **kw):
     """``forward`` plus its 4x-rate signals, stitched from the ``on_window``
     calls: (x_hat, {name: array or None}, number of calls). The windows must
-    tile the padded input in order."""
-    calls = []
+    tile the padded input in order, each called on the calling thread."""
+    calls, caller = [], threading.get_ident()
     x_hat = M.forward(y, params, cfg, on_window=lambda start, sigs: calls.append(
-        (start, [None if s is None else s.copy() for s in sigs])), **kw)
+        (start, [None if s is None else s.copy() for s in sigs], threading.get_ident())), **kw)
     end = 0
-    for start, sigs in calls:
+    for start, sigs, thread in calls:
+        assert thread == caller
         assert start == end
+        assert sigs[0].shape[-1] > 0
         end += sigs[0].shape[-1]
         assert all(s is None or s.shape == sigs[0].shape for s in sigs)
     signals = {}
     for i, name in enumerate(SIGNALS):
-        parts = [sigs[i] for _, sigs in calls]
+        parts = [sigs[i] for _, sigs, _ in calls]
         signals[name] = None if parts[0] is None else np.concatenate(parts, axis=-1)
     return x_hat, signals, len(calls)
+
+
+MODES = ("inline", "pipelined")
+
+
+def set_windows(monkeypatch, cfg, frames, mode):
+    """No-grad forwards in windows of ``frames`` bottleneck frames, their
+    encoder and LSTM run on the calling thread ("inline") or one window
+    ahead on a helper ("pipelined"), where two windows in flight share
+    ``_WINDOW_BYTES``."""
+    pipelined = mode == "pipelined"
+    monkeypatch.setattr(M, "_PIPELINE_WIDTH", 0 if pipelined else 1 << 30)
+    monkeypatch.setattr(M, "_WINDOW_BYTES", (1 + pipelined) * frames * 4 * M.frame_width(cfg))
 
 
 class TestParamCounts:
@@ -372,6 +390,34 @@ class TestInferenceMemory:
             M.forward(y(8000), params, cfg)
         assert peak(32000) <= 1.1 * peak(8000)
 
+    def test_pipelined_forward_peak_flat_in_windows(self, monkeypatch):
+        """The pipelined forward's two windows in flight share the budget:
+        over 8 windows of the budget its traced heap peak, on both threads,
+        is within 10% of its 2-window peak and of the inline peak over the
+        same 8 windows."""
+        import tracemalloc
+        cfg = tiny_cfg(hidden=8, depth=3)
+        params = M.init_params(cfg, 0)
+
+        def y(n):
+            return np.random.default_rng(40).standard_normal(n).astype(np.float32) * 0.1
+
+        def peak(n, mode):
+            set_windows(monkeypatch, cfg, 250 if mode == "inline" else 125, mode)
+            with T.no_grad():
+                tracemalloc.start()
+                try:
+                    M.forward(y(n), params, cfg)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        with T.no_grad():
+            M.forward(y(8000), params, cfg)  # builds the resampling kernels
+        pipelined = peak(32000, "pipelined")
+        assert pipelined <= 1.1 * peak(8000, "pipelined")
+        assert pipelined <= 1.1 * peak(32000, "inline")
+
     def test_small_model_windows_bound_peak(self):
         """At H=4 the 16-channel fusion stack at the 4x rate is the widest
         activation, so windows sized by it bound the peak: 90.7 MB at 24 s
@@ -508,13 +554,19 @@ class TestWindowedForward:
         for n, windows in self.LENGTHS.items():
             y = rng.standard_normal(lead + (n,)) * 0.3
             recorded, want, _ = traced_forward(y, params, cfg, w_override=w_override)
-            for frames in (10**6, self.WINDOW):
-                monkeypatch.setattr(M, "_WINDOW_BYTES", frames * 4 * M.frame_width(cfg))
+            for frames, mode in itertools.product((10**6, self.WINDOW), MODES):
+                set_windows(monkeypatch, cfg, frames, mode)
                 calls.clear()
                 with T.no_grad():
                     x_hat, got, _ = traced_forward(y, params, cfg, w_override=w_override)
                 assert len(calls) == (1 if frames > self.WINDOW else windows)
                 got["x_hat"], want["x_hat"] = x_hat.data, recorded.data
+                if mode == "inline":
+                    inline = got
+                else:  # the same windows give the same bits in either mode
+                    for name, a in inline.items():
+                        assert (a is None) == (got[name] is None), name
+                        assert a is None or a.tobytes() == got[name].tobytes(), (name, n)
                 for name, a in want.items():
                     b = got[name]
                     assert (a is None) == (b is None), name
@@ -532,21 +584,68 @@ class TestWindowedForward:
         """Per-window normalisation and resampling give the bits of the
         whole-file arithmetic they replace: ``y_up`` equals the upsampled,
         normalised, padded input, and ``x_hat`` the decimated stitched core,
-        in float32 as restored, so no restored 16-bit sample differs."""
+        in float32 as restored, so no restored 16-bit sample differs. Inline
+        and pipelined windows give the same bits."""
         cfg = tiny_cfg(hidden=8)
         params = M.init_params(cfg, 49)
-        monkeypatch.setattr(M, "_WINDOW_BYTES", 37 * 4 * M.frame_width(cfg))
         y = (np.random.default_rng(50).standard_normal(lead + (9001,)) * 0.4).astype(np.float32)
+        runs = []
+        for mode in MODES:
+            set_windows(monkeypatch, cfg, 37, mode)
+            with T.no_grad():
+                x_hat, sig, calls = traced_forward(y, params, cfg)
+                x = Tensor(y)
+                sigma = T.std(x, -1, keepdims=True)
+                xn = T.pad_axis(x / (sigma + M.STD_FLOOR), -1, 0, (-9001) % 64)
+                want_up = upsample_4x(xn).data
+                want = downsample_4x(sig["x_hat_up"]).data[..., :9001] * sigma.data
+            assert calls > 1
+            np.testing.assert_array_equal(sig["y_up"], want_up)
+            np.testing.assert_array_equal(x_hat.data, want)
+            runs.append([x_hat.data] + [sig[name] for name in SIGNALS])
+        for name, a, b in zip(("x_hat",) + SIGNALS, *runs):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("case", ["clean", "on_window raises", "on_window interrupted",
+                                      "encode raises"])
+    def test_no_thread_outlives_forward(self, monkeypatch, case):
+        """A pipelined forward's helper is joined before ``forward`` returns
+        or raises: after a clean run, an exception or a KeyboardInterrupt
+        from ``on_window`` on the second window, and an exception from
+        ``encode`` on the third. The caller sees the original exception, and
+        the helper stops after the window it is on: the third."""
+        cfg = tiny_cfg()
+        params = M.init_params(cfg, 47)
+        set_windows(monkeypatch, cfg, self.WINDOW, "pipelined")
+        before = set(threading.enumerate())
+        seen = []
+        err = {"on_window raises": ValueError("on_window"),
+               "on_window interrupted": KeyboardInterrupt(),
+               "encode raises": ValueError("encode")}.get(case)
+        encode = M.encode
+
+        def counted(*a):
+            seen.append(set(threading.enumerate()) - before)
+            if case == "encode raises" and len(seen) == 3:
+                raise err
+            return encode(*a)
+
+        def on_window(start, sigs):
+            if case.startswith("on_window") and start > 0:
+                raise err
+
+        monkeypatch.setattr(M, "encode", counted)
+        y = np.random.default_rng(48).standard_normal(576)  # 6 windows
         with T.no_grad():
-            x_hat, sig, calls = traced_forward(y, params, cfg)
-            x = Tensor(y)
-            sigma = T.std(x, -1, keepdims=True)
-            xn = T.pad_axis(x / (sigma + M.STD_FLOOR), -1, 0, (-9001) % 64)
-            want_up = upsample_4x(xn).data
-            want = downsample_4x(sig["x_hat_up"]).data[..., :9001] * sigma.data
-        assert calls > 1
-        np.testing.assert_array_equal(sig["y_up"], want_up)
-        np.testing.assert_array_equal(x_hat.data, want)
+            if err is None:
+                M.forward(y, params, cfg, on_window=on_window)
+            else:
+                with pytest.raises(type(err)) as info:
+                    M.forward(y, params, cfg, on_window=on_window)
+                assert info.value is err
+        assert len(seen) == (6 if err is None else 3)
+        assert all(seen)  # each encode ran on the helper
+        assert set(threading.enumerate()) == before
 
     def test_recording_forward_runs_in_one_pass(self, monkeypatch):
         cfg = tiny_cfg()
