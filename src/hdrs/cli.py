@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .audio import AudioBuffer, EmptyInput, SampleRateMismatch, read_wav, write_wav
 from .checkpoint import config_from_text, config_text
-from .dsp import StftConfig, stft_magnitude
+from .dsp import RESAMPLE_FACTOR, StftConfig, stft_magnitude
 from .metrics import evaluate, write_report
 from .model import ModelConfig, forward
 from .simulate import generate_corpus
@@ -144,7 +144,7 @@ def _dump_trace(out_dir: Path, stem: str, buf: AudioBuffer, params: dict,
     """Restores ``buf``, writing its mask/w/refined WAVs and in/out PGMs
     beside it; returns the restored samples."""
     # mask, refined and w run at the upsampled model rate, padded past the input
-    n_up = cfg.resample_factor * len(buf)
+    n_up = RESAMPLE_FACTOR * len(buf)
     kept = {}
 
     def keep(start, signals):
@@ -159,7 +159,7 @@ def _dump_trace(out_dir: Path, stem: str, buf: AudioBuffer, params: dict,
     for name in ("mask", "w", "refined"):
         if name in kept:
             write_wav(out_dir / f"{stem}.{name}.wav",
-                      AudioBuffer(kept.pop(name), cfg.resample_factor * buf.sample_rate))
+                      AudioBuffer(kept.pop(name), RESAMPLE_FACTOR * buf.sample_rate))
     for tag, sig in (("in", np.asarray(buf.samples)), ("out", x_hat)):
         if len(sig) >= SPECTROGRAM_CFG.window_len:
             mag = stft_magnitude(sig.astype(np.float64), SPECTROGRAM_CFG).data

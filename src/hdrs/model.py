@@ -68,7 +68,6 @@ class ModelConfig:
     depth: int = 5
     kernel: int = 8
     stride: int = 4
-    resample_factor: int = 4
     lstm_layers: int = 2
     refinement_dilations: tuple = ()
     fusion_ch: int = 16
@@ -78,8 +77,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.resample_factor != 4:
-            raise ValueError("only resample_factor=4 is supported")
         if not self.refinement_dilations:
             if self.depth > 5:
                 raise ValueError("provide refinement_dilations explicitly for depth > 5")

@@ -132,14 +132,9 @@ def save_checkpoint(path, params: dict, state: TrainState,
     text = {"state.step": str(state.step), "state.phase": state.phase,
             "state.seed": str(state.seed),
             **config_text(model_cfg, "model"), **config_text(train_cfg, "train")}
-    arrays = {}
-    for name, p in params.items():
-        arrays[name] = p.data
-    for name in params:
-        arrays[f"adam.m.{name}"] = state.m[name]
-    for name in params:
-        arrays[f"adam.v.{name}"] = state.v[name]
-    save_container(path, text, arrays)
+    moments = {f"adam.{k}.{name}": store[name]
+               for k, store in (("m", state.m), ("v", state.v)) for name in params}
+    save_container(path, text, {name: p.data for name, p in params.items()}, moments)
 
 
 def load_checkpoint(path, moments: bool = True):
@@ -150,8 +145,7 @@ def load_checkpoint(path, moments: bool = True):
     Config text missing a ``state.*``, ``model.*`` or ``train.*`` key,
     naming an unknown one or holding an invalid value, and a parameter
     missing or of the wrong shape, raise ``Corrupt``."""
-    text, arrays = load_container(
-        path, None if moments else lambda name: not name.startswith("adam."))
+    text, arrays = load_container(path, 2 if moments else 1)
     try:
         model_cfg = config_from_text(ModelConfig, "model", text)
         train_cfg = config_from_text(TrainConfig, "train", text)
@@ -173,7 +167,7 @@ def load_checkpoint(path, moments: bool = True):
     if moments:
         for name, p in params.items():
             for store, key in ((state.m, f"adam.m.{name}"), (state.v, f"adam.v.{name}")):
-                # loaded arrays are owned copies, so they serve without another one
+                # loaded arrays are writeable views, so they serve without a copy
                 store[name] = arrays[key] if key in arrays else np.zeros(p.shape, p.dtype)
     return params, state, model_cfg, train_cfg
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import re
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,15 @@ def workspace(tmp_path_factory):
                  "--manifest", str(root / "corpus" / "manifest.tsv"),
                  "--out", str(root / "run")]) == 0
     return root
+
+
+def _flip_moment_byte(ckpt: Path, out: Path) -> Path:
+    """Writes ``ckpt`` to ``out`` with one bit flipped in the last data byte
+    of the last Adam moment, just before the moment section's CRC."""
+    blob = bytearray(ckpt.read_bytes())
+    blob[-5] ^= 0x01
+    out.write_bytes(bytes(blob))
+    return out
 
 
 class TestSimulate:
@@ -108,6 +119,14 @@ class TestTrain:
                      "--manifest", str(workspace / "corpus" / "manifest.tsv"),
                      "--out", str(tmp_path / "bad")]) == 2
 
+    def test_resample_factor_is_an_unknown_key(self, workspace, tmp_path, capsys):
+        """The resampling factor is fixed by the DSP, not a config key."""
+        assert main(["train", "--config", str(workspace / "run.ini"), "--quiet",
+                     "--set", "model.resample_factor=4",
+                     "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                     "--out", str(tmp_path / "bad")]) == 2
+        assert "unknown key 'resample_factor'" in capsys.readouterr().err
+
     def test_set_override_wins(self, workspace, tmp_path, capsys):
         cfg = workspace / "run.ini"
         main(["train", "--config", str(cfg), "--quiet", "--set", "model.hidden_ch=4",
@@ -138,6 +157,16 @@ class TestTrain:
                      "--resume", str(tmp_path / "full" / "step00000001.ckpt")]) == 0
         assert ((tmp_path / "res" / "final.ckpt").read_bytes()
                 == (tmp_path / "full" / "final.ckpt").read_bytes())
+
+    def test_resume_from_flipped_moment_exits_2(self, workspace, tmp_path, capsys):
+        """A resume reads the Adam moments, so one flipped moment bit fails it:
+        exit 2, the checkpoint named, a checksum mismatch."""
+        bad = _flip_moment_byte(workspace / "run" / "final.ckpt", tmp_path / "flipped.ckpt")
+        assert main(["train", "--config", str(workspace / "run.ini"), "--quiet",
+                     "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                     "--out", str(tmp_path / "res"), "--resume", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "checksum" in err
 
 
 class TestRestore:
@@ -240,22 +269,23 @@ class TestRestore:
         assert main(["restore", "--ckpt", str(workspace / "run" / "final.ckpt"),
                      "--in", str(empty), "--out", str(tmp_path / "o")]) == 3
 
-    def test_flip_in_skipped_moment_exits_2(self, workspace, tmp_path, capsys):
-        """restore never keeps the Adam moments, yet a flipped byte in one
-        fails the load: exit 2, the checkpoint named, no WAV written."""
-        import struct
-        blob = bytearray((workspace / "run" / "final.ckpt").read_bytes())
-        at = blob.index(b"adam.v.")  # the first v record's name
-        (nlen,) = struct.unpack_from("<I", blob, at - 4)
-        (rank,) = struct.unpack_from("<I", blob, at + nlen)
-        blob[at + nlen + 4 + 8 * rank + 2] ^= 0x01  # its third data byte
-        bad = tmp_path / "flipped.ckpt"
-        bad.write_bytes(bytes(blob))
+    def test_format_1_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        """A checkpoint as format 1 wrote it (one CRC over the whole file) is
+        refused by its version: exit 2, no WAV written."""
+        from hdrs.checkpoint import load_container
+        text, arrays = load_container(workspace / "run" / "final.ckpt")
+        body = "".join(f"{k}={v}\n" for k, v in text.items()).encode("utf-8")
+        blob = b"HDRS" + struct.pack("<II", 1, len(body)) + body + struct.pack("<I", len(arrays))
+        for name, arr in arrays.items():
+            nb = name.encode("utf-8")
+            blob += struct.pack(f"<I{len(nb)}sI{arr.ndim}Q", len(nb), nb, arr.ndim, *arr.shape)
+            blob += arr.tobytes()
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
         out = tmp_path / "o"
-        assert main(["restore", "--ckpt", str(bad), "--in", str(workspace / "clean"),
+        assert main(["restore", "--ckpt", str(old), "--in", str(workspace / "clean"),
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert str(bad) in err and "checksum" in err
+        assert "format version 1" in capsys.readouterr().err
         assert not out.exists() or not list(out.glob("*.wav"))
 
     @pytest.mark.parametrize("content", [b"not a wav file\n", "truncated"])
@@ -298,6 +328,8 @@ class TestRestore:
         assert "state.step" in capsys.readouterr().err
 
     def test_moments_do_not_change_restored_bytes(self, workspace, tmp_path):
+        """Restore never reads the Adam moments: without them, or with one
+        flipped moment bit, it writes the same bytes."""
         from hdrs.checkpoint import load_container, save_container
         ckpt = workspace / "run" / "final.ckpt"
         text, arrays = load_container(ckpt)
@@ -305,12 +337,14 @@ class TestRestore:
         bare = tmp_path / "bare.ckpt"
         save_container(bare, text, {k: v for k, v in arrays.items()
                                     if not k.startswith("adam.")})
-        for tag, path in (("with", ckpt), ("without", bare)):
+        flipped = _flip_moment_byte(ckpt, tmp_path / "flipped.ckpt")
+        for tag, path in (("with", ckpt), ("without", bare), ("flipped", flipped)):
             assert main(["restore", "--ckpt", str(path), "--in", str(workspace / "clean"),
                          "--out", str(tmp_path / tag)]) == 0
         for name in ("clean00.wav", "clean01.wav"):
-            assert ((tmp_path / "with" / name).read_bytes()
-                    == (tmp_path / "without" / name).read_bytes())
+            want = (tmp_path / "with" / name).read_bytes()
+            for tag in ("without", "flipped"):
+                assert (tmp_path / tag / name).read_bytes() == want, tag
 
 
 class TestEvaluate:

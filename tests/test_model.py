@@ -1,7 +1,9 @@
 """Model topology: parameter accounting, shape contracts, variant behavior."""
 
 import itertools
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -143,8 +145,7 @@ class TestConfigValidation:
         """The checkpoint text of the default config, key order included."""
         assert list(config_text(M.ModelConfig(), "model").items()) == [
             ("model.hidden_ch", "48"), ("model.depth", "5"), ("model.kernel", "8"),
-            ("model.stride", "4"), ("model.resample_factor", "4"),
-            ("model.lstm_layers", "2"), ("model.refinement_dilations", "1,3,5,7,9"),
+            ("model.stride", "4"), ("model.lstm_layers", "2"), ("model.refinement_dilations", "1,3,5,7,9"),
             ("model.fusion_ch", "16"), ("model.variant", "hd_demucs"),
             ("model.sample_rate", "16000")]
 
@@ -687,19 +688,58 @@ class TestFuse:
         np.testing.assert_array_equal(out.data, want)
 
 
+def _section(body: bytes) -> bytes:
+    """One container section: u64 length, ``body``, CRC32 of ``body``."""
+    return struct.pack("<Q", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+
+
+def _container(params_body: bytes, moments_body: bytes = struct.pack("<I", 0)) -> bytes:
+    """Format-2 bytes with empty text and the given array section bodies."""
+    return b"HDRS" + struct.pack("<I", 2) + b"".join(
+        map(_section, (b"", params_body, moments_body)))
+
+
+def _short_record(name: bytes) -> bytes:
+    """An array section body whose one record claims 10 floats but carries 3."""
+    body = struct.pack("<II", 1, len(name)) + name + struct.pack("<IQ", 1, 10)
+    return body + bytes(-len(body) % 64) + np.arange(3, dtype="<f4").tobytes()
+
+
+def _section_spans(blob) -> list:
+    """(start, end) of each section body of a container's bytes: text,
+    parameters, moments."""
+    spans, at = [], 8
+    while at < len(blob):
+        (n,) = struct.unpack_from("<Q", blob, at)
+        spans.append((at + 8, at + 8 + n))
+        at += n + 12
+    return spans
+
+
+def _fix_crc(blob: bytearray, k: int) -> None:
+    """Recomputes the CRC of section ``k`` of ``blob`` in place."""
+    start, end = _section_spans(blob)[k]
+    blob[end:end + 4] = struct.pack("<I", zlib.crc32(blob[start:end]))
+
+
 class TestCheckpointContainer:
     def test_round_trip_bit_exact(self, tmp_path):
+        """Both sections come back in order, bit-exact, as aligned, writeable
+        float32 arrays: Adam updates the moments in place."""
         cfg = tiny_cfg()
         params = M.init_params(cfg, 17, np.float32)
+        moments = {f"adam.m.{k}": np.full(p.shape, 0.25, np.float32) for k, p in params.items()}
         path = tmp_path / "model.ckpt"
         save_container(path, config_text(cfg, "model"),
-                       {k: v.data for k, v in params.items()})
+                       {k: v.data for k, v in params.items()}, moments)
         text, arrays = load_container(path)
         assert config_from_text(M.ModelConfig, "model", text) == cfg
-        assert list(arrays) == list(params)
-        for k in params:
-            np.testing.assert_array_equal(arrays[k], params[k].data)
-            assert arrays[k].dtype == np.float32
+        assert list(arrays) == list(params) + list(moments)
+        want = {**{k: v.data for k, v in params.items()}, **moments}
+        for k, arr in arrays.items():
+            assert arr.tobytes() == want[k].tobytes() and arr.shape == want[k].shape
+            assert arr.dtype == np.float32
+            assert arr.flags.writeable and arr.flags.aligned
 
     def test_save_streams_records(self, tmp_path):
         """Saving 4 MiB of arrays holds less than twice the largest array at
@@ -733,6 +773,7 @@ class TestCheckpointContainer:
         assert arrays["e"].shape == (0, 3) and arrays["s"] == np.float32(1)
 
     def test_truncated_file_is_corrupt(self, tmp_path):
+        """Half a file, and a whole one with bytes after its last section."""
         cfg = tiny_cfg()
         params = M.init_params(cfg, 17, np.float32)
         path = tmp_path / "model.ckpt"
@@ -742,27 +783,39 @@ class TestCheckpointContainer:
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(Corrupt):
             load_container(path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(Corrupt, match="after the moment section"):
+            load_container(path)
 
     def test_truncated_array_record_is_corrupt(self, tmp_path):
         """A record that claims 10 floats but carries 3, under a valid CRC."""
-        import struct
-        import zlib
         path = tmp_path / "short.ckpt"
-        body = b"HDRS" + struct.pack("<III", 1, 0, 1) + struct.pack("<I", 1) + b"w"
-        body += struct.pack("<IQ", 1, 10) + np.arange(3, dtype="<f4").tobytes()
-        body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-        path.write_bytes(body)
+        path.write_bytes(_container(_short_record(b"w")))
         with pytest.raises(Corrupt, match="truncated"):
             load_container(path)
 
+    @pytest.mark.parametrize("sections", [1, 2])
+    def test_damaged_section_length_is_corrupt(self, tmp_path, sections):
+        """A flipped high byte of the parameter section's length is refused
+        before a buffer of that size is made."""
+        import tracemalloc
+        _, _, path = self._training_checkpoint(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[_section_spans(blob)[1][0] - 8 + 6] ^= 0x01  # its u64 length gains 2**48
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(Corrupt, match="parameter section of .* runs past the file"):
+                load_container(path, sections)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(blob)
+
     def test_version_mismatch(self, tmp_path):
-        import struct
-        import zlib
         path = tmp_path / "v9.ckpt"
-        body = b"HDRS" + struct.pack("<I", 9) + struct.pack("<I", 0) + struct.pack("<I", 0)
-        body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-        path.write_bytes(body)
-        with pytest.raises(FormatVersionMismatch):
+        path.write_bytes(b"HDRS" + struct.pack("<I", 9) + _section(b"") * 3)
+        with pytest.raises(FormatVersionMismatch, match="format version 9"):
             load_container(path)
 
     def _training_checkpoint(self, tmp_path):
@@ -778,14 +831,18 @@ class TestCheckpointContainer:
         return cfg, params, path
 
     @staticmethod
-    def _params_only(name):
-        return not name.startswith("adam.")
+    def _assert_params(path, params) -> None:
+        """A params-only load of ``path`` returns exactly ``params``."""
+        _, arrays = load_container(path, 1)
+        assert list(arrays) == list(params)
+        for name, p in params.items():
+            assert arrays[name].tobytes() == p.data.tobytes()
 
     def test_params_only_load_returns_exactly_the_params(self, tmp_path):
         from hdrs.train import load_checkpoint
         cfg, params, path = self._training_checkpoint(tmp_path)
         names = [name for name, _, _ in M.param_shapes(cfg)]
-        _, arrays = load_container(path, lambda name: not name.startswith("adam."))
+        _, arrays = load_container(path, 1)
         assert list(arrays) == names
         loaded, state, _, _ = load_checkpoint(path, moments=False)
         assert list(loaded) == names
@@ -812,112 +869,75 @@ class TestCheckpointContainer:
             load_checkpoint(path, moments=False)
 
     def test_flip_in_skipped_moment_is_corrupt(self, tmp_path):
-        _, _, path = self._training_checkpoint(tmp_path)
+        """A flipped moment byte fails a full load; a params-only load, which
+        never reads the moments, returns the parameters."""
+        _, params, path = self._training_checkpoint(tmp_path)
         blob = bytearray(path.read_bytes())
         at = blob.index(b"adam.v.") + 64  # inside the first second-moment record
         blob[at] ^= 0x01
         path.write_bytes(bytes(blob))
-        with pytest.raises(Corrupt, match="checksum"):
-            load_container(path, lambda name: not name.startswith("adam."))
+        with pytest.raises(Corrupt, match="moment section checksum"):
+            load_container(path)
+        self._assert_params(path, params)
 
     def test_truncated_file_is_corrupt_params_only(self, tmp_path):
-        _, _, path = self._training_checkpoint(tmp_path)
+        """A file missing its last 1000 bytes, all moments: a full load fails,
+        a params-only load returns the parameters."""
+        _, params, path = self._training_checkpoint(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 1000])
-        with pytest.raises(Corrupt):
-            load_container(path, lambda name: not name.startswith("adam."))
+        with pytest.raises(Corrupt, match="moment section"):
+            load_container(path)
+        self._assert_params(path, params)
 
     def test_short_skipped_record_is_corrupt(self, tmp_path):
-        """A skipped record that claims 10 floats but carries 3, under a valid CRC."""
-        import struct
-        import zlib
+        """A moment record that claims 10 floats but carries 3, under a valid
+        CRC: a full load fails, a params-only load returns the parameters."""
         path = tmp_path / "short.ckpt"
-        body = b"HDRS" + struct.pack("<III", 1, 0, 1) + struct.pack("<I", 8) + b"adam.m.w"
-        body += struct.pack("<IQ", 1, 10) + np.arange(3, dtype="<f4").tobytes()
-        body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-        path.write_bytes(body)
+        params = struct.pack("<II", 1, 1) + b"w" + struct.pack("<I", 0)
+        params += bytes(-len(params) % 64) + np.float32(1.5).tobytes()
+        path.write_bytes(_container(params, _short_record(b"adam.m.w")))
         with pytest.raises(Corrupt, match="truncated"):
-            load_container(path, lambda name: not name.startswith("adam."))
-
-    @pytest.mark.parametrize("chunk", [13, 256, 1 << 20])
-    def test_load_independent_of_window_size(self, tmp_path, monkeypatch, chunk):
-        """Headers split across slots, text and arrays larger than a slot,
-        and the helper thread on or off, all read the same arrays; thread
-        switches forced every microsecond lose no span of the CRC."""
-        import sys
-        from hdrs import checkpoint
-        _, _, path = self._training_checkpoint(tmp_path)
-        want = {k: load_container(path, k) for k in (None, self._params_only)}
-        monkeypatch.setattr(checkpoint, "_READ_CHUNK", chunk)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            loads = {k: load_container(path, k) for k in want}
-        finally:
-            sys.setswitchinterval(interval)
-        for k, (text, arrays) in want.items():
-            got_text, got = loads[k]
-            assert got_text == text and list(got) == list(arrays)
-            for name, arr in arrays.items():
-                assert got[name].dtype == np.float32 and got[name].shape == arr.shape
-                assert got[name].tobytes() == arr.tobytes()
-                assert got[name].flags.writeable
-
-    def test_other_version_is_summed_not_parsed(self, tmp_path):
-        """A version-2 body that v1 cannot parse (its text length runs past
-        the file) raises FormatVersionMismatch under a good CRC and Corrupt
-        under a bad one."""
-        import struct
-        import zlib
-        path = tmp_path / "v2.ckpt"
-        body = b"HDRS" + struct.pack("<II", 2, 0xFFFFFFF0) + bytes(range(256)) * 8
-        blob = bytearray(body + struct.pack("<I", zlib.crc32(body)))
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatVersionMismatch):
             load_container(path)
-        blob[100] ^= 0x10
-        path.write_bytes(bytes(blob))
-        with pytest.raises(Corrupt, match="checksum"):
-            load_container(path)
+        assert {k: a.tolist() for k, a in load_container(path, 1)[1].items()} == {"w": 1.5}
 
     @pytest.mark.parametrize("field, match", [("name length", "name runs past"),
                                               ("dims", "truncated")])
     @pytest.mark.parametrize("fix_crc", [False, True])
     def test_flip_in_skipped_header_is_corrupt(self, tmp_path, field, match, fix_crc):
-        """A flipped high byte in a skipped record's name length or first
-        dim: "checksum mismatch" under the stale CRC, the structural fault
-        under a recomputed one."""
-        import struct
-        import zlib
-        _, _, path = self._training_checkpoint(tmp_path)
+        """A flipped high byte in a moment record's name length or first dim
+        fails a full load: "checksum mismatch" under the stale CRC, the
+        structural fault under a recomputed one. A params-only load returns
+        the parameters either way."""
+        _, params, path = self._training_checkpoint(tmp_path)
         blob = bytearray(path.read_bytes())
         at = blob.index(b"adam.v.")  # the name; its u32 length ends here
         (nlen,) = struct.unpack_from("<I", blob, at - 4)
         # the length's top byte, or byte 5 of the first u64 dim after the rank
         blob[at - 1 if field == "name length" else at + nlen + 4 + 5] ^= 0x40
         if fix_crc:
-            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+            _fix_crc(blob, 2)
         path.write_bytes(bytes(blob))
         with pytest.raises(Corrupt, match=match if fix_crc else "checksum"):
-            load_container(path, self._params_only)
+            load_container(path)
+        self._assert_params(path, params)
 
     @pytest.mark.parametrize("bit", [16, 20])
     @pytest.mark.parametrize("fix_crc", [False, True])
     def test_flip_in_rank_is_corrupt(self, tmp_path, bit, fix_crc):
         """A rank flipped to 65537 or 1048577 in front of 9 MiB of ones, so
-        its dims fit the file: refused before the dims are read, not
+        its dims fit the section: "checksum mismatch" under the stale CRC;
+        under a recomputed one, refused before the dims are read, not
         multiplied out of the float data."""
-        import struct
-        import zlib
         path = tmp_path / "rank.ckpt"
         save_container(path, {}, {"a": np.ones(1, np.float32),
                                   "b": np.ones(9 << 18, np.float32)})
         blob = bytearray(path.read_bytes())
-        at = 4 + 8 + 4 + 4 + 1  # magic, version and text length, count, name length, "a"
+        at = _section_spans(blob)[1][0] + 4 + 4 + 1  # count, name length, "a"
         assert struct.unpack_from("<I", blob, at) == (1,)
         blob[at + bit // 8] ^= 1 << (bit % 8)
         if fix_crc:
-            blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+            _fix_crc(blob, 1)
         path.write_bytes(bytes(blob))
         with pytest.raises(Corrupt, match="has rank" if fix_crc else "checksum"):
             load_container(path)
@@ -932,54 +952,24 @@ class TestCheckpointContainer:
             save_container(path, {}, {name: arr})
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("chunk", [256, 1 << 20])
-    def test_file_shrinking_under_reader_is_corrupt(self, tmp_path, monkeypatch, chunk):
-        """A file 4 KiB shorter than its size when opened."""
+    @pytest.mark.parametrize("extra", [256, 1 << 20])
+    def test_file_shrinking_under_reader_is_corrupt(self, tmp_path, monkeypatch, extra):
+        """A file ``extra`` bytes shorter than its size when opened, whole or
+        without its last 8 bytes: a full load fails, a params-only load
+        returns the parameters."""
         import os
         from types import SimpleNamespace
         from hdrs import checkpoint
-        _, _, path = self._training_checkpoint(tmp_path)
-        monkeypatch.setattr(checkpoint, "_READ_CHUNK", chunk)
+        _, params, path = self._training_checkpoint(tmp_path)
+        blob = path.read_bytes()
         real = os.fstat
         monkeypatch.setattr(checkpoint.os, "fstat",
-                            lambda fd: SimpleNamespace(st_size=real(fd).st_size + 4096))
-        for k in (None, self._params_only):
+                            lambda fd: SimpleNamespace(st_size=real(fd).st_size + extra))
+        for cut in (0, 8):
+            path.write_bytes(blob[:len(blob) - cut])
             with pytest.raises(Corrupt, match="shrank"):
-                load_container(path, k)
-
-    @pytest.mark.parametrize("case", ["good", "corrupt", "keep raises"])
-    def test_no_thread_outlives_load(self, tmp_path, monkeypatch, case):
-        """With slots small enough to start the CRC helper, no thread is left
-        after a good load, a Corrupt one, or a BaseException from ``keep``."""
-        import threading
-        from hdrs import checkpoint
-
-        class Stop(BaseException):
-            pass
-
-        _, _, path = self._training_checkpoint(tmp_path)
-        if case == "corrupt":
-            blob = bytearray(path.read_bytes())
-            blob[len(blob) // 2] ^= 0x01
-            path.write_bytes(bytes(blob))
-        monkeypatch.setattr(checkpoint, "_READ_CHUNK", 256)
-        before = set(threading.enumerate())
-        seen = []
-
-        def keep(name):
-            seen.append(set(threading.enumerate()) - before)
-            if case == "keep raises" and len(seen) == 5:
-                raise Stop
-            return self._params_only(name)
-
-        expect = {"good": None, "corrupt": Corrupt, "keep raises": Stop}[case]
-        if expect is None:
-            load_container(path, keep)
-        else:
-            with pytest.raises(expect):
-                load_container(path, keep)
-        assert any(seen)  # the helper ran during the load
-        assert set(threading.enumerate()) == before
+                load_container(path)
+            self._assert_params(path, params)
 
     def test_failed_save_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "x.ckpt"
