@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 from .tensor import Tensor
@@ -324,8 +324,11 @@ def _windows(x: np.ndarray, pad: int, width: int, step: int, dtype) -> np.ndarra
     xp[..., pad:-pad] = x
     s = xp.strides
     count = (xp.shape[-1] - width) // step + 1
-    return as_strided(xp, xp.shape[:-1] + (count, width),
-                      s[:-1] + (step * s[-1], s[-1]), writeable=False)
+    # made on xp's buffer, not by as_strided, for the reason layers._taps gives
+    windows = np.ndarray(xp.shape[:-1] + (count, width), xp.dtype, xp, 0,
+                         s[:-1] + (step * s[-1], s[-1]))
+    windows.flags.writeable = False
+    return windows
 
 
 def _decimate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

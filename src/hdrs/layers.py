@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, _unbroadcast, grad_enabled, stable_sigmoid
 
@@ -63,9 +62,13 @@ def conv_transpose1d_length(length: int, kernel: int, stride: int, padding: int,
 
 
 def _taps(xp: np.ndarray, kernel: int, stride: int, dilation: int, l_out: int) -> np.ndarray:
-    """[..., C, L] -> [..., C, kernel, l_out] strided view of every tap."""
+    """[..., C, L] -> [..., C, kernel, l_out] strided view of every tap, made
+    on xp's buffer: as_strided's __array_interface__ round trip interns and
+    drops strings, so every ten thousand or so calls it regrows the
+    interpreter's table of interned strings, about 1 MB, inside a forward."""
+    xp = np.ascontiguousarray(xp)
     s = xp.strides
-    return as_strided(xp, xp.shape[:-1] + (kernel, l_out),
+    return np.ndarray(xp.shape[:-1] + (kernel, l_out), xp.dtype, xp, 0,
                       s[:-1] + (dilation * s[-1], stride * s[-1]))
 
 
@@ -81,18 +84,25 @@ def _blocks(n: int, column_bytes: int):
     return zip([0] + ends[:-1], ends)
 
 
-def _gather(xp: np.ndarray, w: np.ndarray, stride: int, dilation: int, l_out: int):
+def _gather(xp: np.ndarray, w: np.ndarray, stride: int, dilation: int, l_out: int,
+            g: np.ndarray | None = None):
     """[..., B, L] -> [..., A, l_out] under w [A, B, k]: sum over b, j of
     w[a, b, j] xp[b, t*stride + j*dilation]. Each im2col block is a reshaped
-    tap view, copied only where it must be: for a 1x1 stride-1 conv, xp itself."""
+    tap view, copied only where it must be: for a 1x1 stride-1 conv, xp itself.
+    Given g [..., A, l_out], also returns _weight_grad(g, xp, k, stride,
+    dilation), bit for bit, from the same im2col blocks."""
     a, b, k = w.shape
     patches = _taps(xp, k, stride, dilation, l_out)
     out = np.empty(xp.shape[:-2] + (a, l_out), dtype=np.result_type(w, xp))
+    gw = None if g is None else np.zeros((a, b * k), dtype=np.result_type(g, xp))
     for i in np.ndindex(xp.shape[:-2]):
         for s, e in _blocks(l_out, b * k * xp.itemsize):
-            np.matmul(w.reshape(a, b * k), patches[i][..., s:e].reshape(b * k, e - s),
-                      out=out[i][:, s:e])
-    return out
+            col = patches[i][..., s:e].reshape(b * k, e - s)
+            np.matmul(w.reshape(a, b * k), col, out=out[i][:, s:e])
+            if gw is not None:
+                gw += g[i][:, s:e] @ col.T
+            del col  # so the next block can take its memory
+    return out if gw is None else (out, gw.reshape(a, b, k))
 
 
 def _scatter(y: np.ndarray, w: np.ndarray, stride: int, dilation: int, length: int):
@@ -173,9 +183,8 @@ def conv_transpose1d(x: Tensor, p: Conv1dParams) -> Tensor:
     out = _scatter(x.data, w, p.stride, p.dilation, l_out + 2 * pad)[..., pad:pad + l_out]
 
     def grads(g):
-        gfull = _pad_last(g, pad)
-        return (_weight_grad(x.data, gfull, k, p.stride, p.dilation),
-                _gather(gfull, w, p.stride, p.dilation, l_in))
+        gx, gw = _gather(_pad_last(g, pad), w, p.stride, p.dilation, l_in, x.data)
+        return gw, gx
 
     return _conv_node(x, p, out, grads, "conv_transpose1d")
 

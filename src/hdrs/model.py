@@ -29,9 +29,9 @@ import numpy as np
 from . import tensor as T
 from .audio import EmptyInput
 from .dsp import RESAMPLE_FACTOR, RESAMPLE_HALO, downsample_4x, upsample_4x
-from .layers import Conv1dParams, LstmParams, conv1d, conv_transpose1d, glu, \
-    lstm_forward, uniform_init
-from .tensor import Tensor
+from .layers import Conv1dParams, LstmParams, _gather, _scatter, _weight_grad, conv1d, \
+    conv_transpose1d, glu, lstm_forward, uniform_init
+from .tensor import Tensor, _unbroadcast
 
 VARIANTS = ("hd_demucs", "demucs_baseline", "no_fusion", "no_fusion_no_skip",
             "suppression_only", "refinement_only")
@@ -39,9 +39,9 @@ VARIANTS = ("hd_demucs", "demucs_baseline", "no_fusion", "no_fusion_no_skip",
 STD_FLOOR = 1e-5
 
 # A no-grad forward runs its input in windows, each spanning this many bytes
-# of the forward's widest float32 activation (``frame_width``): 160 frames,
-# 2.56 s, at hidden_ch 48 and depth 5, and 3840 frames, 3.84 s, at hidden_ch 4
-# and depth 3. An input of at most one window is one window. This bounds the
+# at ``frame_width`` float32 values per bottleneck frame: 160 frames, 2.56 s,
+# at hidden_ch 48 and depth 5, and 3840 frames, 3.84 s, at hidden_ch 4 and
+# depth 3. An input of at most one window is one window. This bounds the
 # forward's working set independently of the input length. Where the forward
 # is pipelined (below), two windows are in flight and share the budget, each
 # half of it: 80 frames, 1.28 s, at hidden_ch 48 and depth 5.
@@ -56,6 +56,11 @@ _WINDOW_BYTES = 15 << 20
 # from 0.020 to 0.023 s/s at width 64, gained nothing clear at 128, and cut
 # 8-23% at 192, 17-21% at 256 and 31-38% at 384 and 512.
 _PIPELINE_WIDTH = 192
+# Upsampled samples per column block of the fusion stack (``fuse``), whose
+# fusion_ch-channel activations exist one block at a time. Of 2048 to 16384,
+# 4096 ran ``fuse`` fastest at the H=4 evaluate and drill shapes and at an
+# H=48 pipelined window (one BLAS thread, 2-vCPU VM).
+_FUSION_BLOCK = 4096
 
 
 class InvalidLength(ValueError):
@@ -249,20 +254,82 @@ def refinement_decode(feeds: list, params: dict, cfg: ModelConfig,
     return h
 
 
+def _zero_outside(a: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Zeroes the columns of ``a``, which holds a signal's columns from
+    ``start`` on, that lie outside [0, n): the convs' zero padding."""
+    a[..., :max(-start, 0)] = 0
+    a[..., n - start:] = 0
+    return a
+
+
 def fuse(refined: Tensor, masked: Tensor, params: dict, cfg: ModelConfig):
-    """Per-sample weight w in (0,1) and the convex combination of branches."""
-    h = T.concat([refined, masked], axis=-2)
-    h = T.leaky_relu(conv1d(h, _conv(params, "fusion.0", padding=1)), 0.01)
-    h = T.leaky_relu(conv1d(h, _conv(params, "fusion.1", padding=1)), 0.01)
-    w = T.sigmoid(conv1d(h, _conv(params, "fusion.2", padding=1)))
+    """Per-sample weight w in (0,1) and the convex combination of branches.
+
+    ``w`` is the fusion stack over ``refined`` and ``masked`` stacked as two
+    channels: three kernel-3 convs zero-padded by one sample, a leaky ReLU
+    (slope 0.01, ``T.leaky_relu``'s max(x, 0.01x)) after the first two and
+    a sigmoid after the last. It is one tape node that walks the signal in
+    column blocks of ``_FUSION_BLOCK`` samples, each reading 3 samples of
+    halo either side, so its fusion_ch-channel activations exist one block
+    at a time; a recording tape keeps each block's input and two leaky
+    outputs for the backward, which walks the same blocks.
+    """
+    convs = [(params[f"fusion.{j}.w"], params[f"fusion.{j}.b"]) for j in range(3)]
+    n, lead = refined.shape[-1], refined.shape[:-2]
+    dtype = np.result_type(refined.data, masked.data, convs[0][0].data)
+    slope = dtype.type(0.01)
+    out = np.empty(lead + (1, n), dtype)
+    kept = [] if T.grad_enabled() else None
+    for s in range(0, n, _FUSION_BLOCK):
+        e = min(s + _FUSION_BLOCK, n)
+        lo, hi = max(s - 3, 0), min(e + 3, n)
+        h = np.zeros(lead + (2, e - s + 6), dtype)  # columns [s - 3, e + 3)
+        h[..., :1, lo - s + 3:hi - s + 3] = refined.data[..., lo:hi]
+        h[..., 1:, lo - s + 3:hi - s + 3] = masked.data[..., lo:hi]
+        acts = [h]
+        for j, (cw, cb) in enumerate(convs):
+            a = _gather(acts[-1], cw.data, 1, 1, acts[-1].shape[-1] - 2)
+            a += cb.data[:, None]
+            if j == 2:
+                out[..., s:e] = T.stable_sigmoid(a)
+            else:  # columns [s - 2 + j, e + 2 - j)
+                acts.append(_zero_outside(np.maximum(a, a * slope, out=a), s - 2 + j, n))
+        if kept is not None:
+            kept.append((s, e, lo, hi, acts))
+
+    def backward(g):
+        gin = np.zeros(lead + (2, n), g.dtype)
+        gws = [np.zeros_like(cw.data) for cw, _ in convs]
+        gbs = [np.zeros_like(cb.data) for _, cb in convs]
+        for s, e, lo, hi, acts in kept:
+            ga = g[..., s:e] * out[..., s:e] * (1.0 - out[..., s:e])
+            for j in (2, 1, 0):
+                x = acts[j]
+                gws[j] += _weight_grad(ga, x, 3, 1, 1)
+                gbs[j] += _unbroadcast(ga.sum(axis=-1), gbs[j].shape)
+                ga = _scatter(ga, convs[j][0].data, 1, 1, x.shape[-1])
+                if j:  # through the leaky ReLU, whose output is > 0 where its input is
+                    _zero_outside(np.multiply(ga, np.maximum(x > 0, slope), out=ga), s - 3 + j, n)
+            gin[..., lo:hi] += ga[..., lo - s + 3:hi - s + 3]
+        refined._accum(gin[..., :1, :])
+        masked._accum(gin[..., 1:, :])
+        for (cw, cb), gw, gb in zip(convs, gws, gbs):
+            cw._accum(gw)
+            cb._accum(gb)
+
+    w = Tensor._make(out, (refined, masked) + sum(convs, ()), backward, "fuse")
     x_hat_up = w * refined + (1.0 - w) * masked
     return w, x_hat_up
 
 
 def frame_width(cfg: ModelConfig) -> int:
-    """Values per bottleneck frame of the forward's widest activation: the
-    largest channels x upsampled samples per frame, over each encoder and
-    decoder block's 2*ch-channel mix output and the fusion stack."""
+    """Values per bottleneck frame that size a no-grad window: the largest
+    channels x upsampled samples per frame, over each encoder and decoder
+    block's 2*ch-channel mix output and, for hd_demucs, fusion_ch channels
+    at the 4x rate. ``fuse`` holds its fusion_ch channels one column block
+    at a time, not a window long, but the term stays so that small models'
+    windows (3840 frames at hidden_ch 4, depth 3) keep their length and
+    their output bits."""
     f = cfg.stride ** cfg.depth
     widths = [2 * c * f // cfg.stride ** (i + 1) for i, c in enumerate(cfg.channels)]
     if cfg.variant == "hd_demucs":
