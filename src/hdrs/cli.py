@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .checkpoint import config_from_text, config_text
 from .dsp import RESAMPLE_FACTOR, StftConfig, stft_magnitude
 from .metrics import evaluate, write_report
 from .model import ModelConfig, forward
-from .simulate import generate_corpus
+from .simulate import SimulateConfig, generate_corpus
 from .train import NonFiniteGradient, NonFiniteLoss, TrainConfig, load_checkpoint, train
 from .verify import dsp_suite, gradcheck_full_model, params_suite
 
@@ -44,21 +44,18 @@ SPECTROGRAM_CFG = StftConfig(512, 128, 512)
 # -- configuration ---------------------------------------------------------------
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     model: ModelConfig
     train: TrainConfig
-    simulate: dict
+    simulate: SimulateConfig
 
     def echo(self, out=None) -> None:
         out = out if out is not None else sys.stdout
-        for text in (config_text(self.model, "model"), config_text(self.train, "train"),
-                     {f"simulate.{k}": v for k, v in self.simulate.items()}):
-            for k, v in sorted(text.items()):
+        for cfg, section in ((self.model, "model"), (self.train, "train"),
+                             (self.simulate, "simulate")):
+            for k, v in sorted(config_text(cfg, section).items()):
                 print(f"config: {k} = {v}", file=out)
-
-
-_SIM_KEYS = {"subset": str, "split": str, "seed": int, "count": int}
 
 
 def load_run_config(path: str | None, overrides: list) -> RunConfig:
@@ -79,17 +76,13 @@ def load_run_config(path: str | None, overrides: list) -> RunConfig:
         if not raw:
             raise ValueError(f"--set expects section.key=value, got {spec!r}")
         text[key] = raw
-    sim_kw: dict = {}
-    for key, raw in text.items():
-        section, _, name = key.partition(".")
+    for key in text:
+        section = key.partition(".")[0]
         if section not in ("model", "train", "simulate"):
             raise ValueError(f"unknown config section [{section}]")
-        if section == "simulate":
-            if name not in _SIM_KEYS:
-                raise ValueError(f"unknown key {name!r} for section [simulate]")
-            sim_kw[name] = _SIM_KEYS[name](raw)
     return RunConfig(config_from_text(ModelConfig, "model", text),
-                     config_from_text(TrainConfig, "train", text), sim_kw)
+                     config_from_text(TrainConfig, "train", text),
+                     config_from_text(SimulateConfig, "simulate", text))
 
 
 # -- commands ---------------------------------------------------------------------
@@ -97,23 +90,19 @@ def load_run_config(path: str | None, overrides: list) -> RunConfig:
 
 def cmd_simulate(args) -> int:
     run = load_run_config(args.config, args.set)
-    sim = dict(run.simulate)
-    for key in _SIM_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            sim[key] = flag
-    sim.setdefault("seed", 0)
-    run.simulate = sim
+    names = [f.name for f in dataclasses.fields(SimulateConfig)]
+    sim = run.simulate = dataclasses.replace(
+        run.simulate, **{k: getattr(args, k) for k in names if getattr(args, k) is not None})
     run.echo()
-    missing = [k for k in ("subset", "split", "count") if k not in sim]
+    missing = [k for k in names if getattr(sim, k) is None]
     if missing:
         raise ValueError(f"missing simulate settings: {missing}")
     clean_dir = Path(args.clean_dir)
     if not clean_dir.is_dir():
         raise FileNotFoundError(f"clean dir not found: {clean_dir}")
     manifest, records = generate_corpus(
-        sorted(clean_dir.glob("*.wav")), args.out_dir, sim["subset"], sim["split"],
-        sim["seed"], sim["count"], sr=run.model.sample_rate)
+        sorted(clean_dir.glob("*.wav")), args.out_dir, sim.subset, sim.split, sim.seed,
+        sim.count, sr=run.model.sample_rate)
     print(f"wrote {len(records)} distorted files; manifest: {manifest}")
     return 0
 

@@ -22,10 +22,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
-from .tensor import Tensor
+from .tensor import Tensor, strided_view
 
 
 class NonPowerOfTwoLength(ValueError):
@@ -114,8 +113,8 @@ def stft_magnitude(x, cfg: StftConfig) -> Tensor:
         raise TooShort(f"waveform length {length} < window {cfg.window_len}")
     win = _hann_periodic(cfg.window_len)
     data = x.data
-    frames = sliding_window_view(data, cfg.window_len, axis=-1)[..., ::cfg.hop, :]
-    n_frames = frames.shape[-2]
+    n_frames = (length - cfg.window_len) // cfg.hop + 1
+    frames = strided_view(data, (n_frames, cfg.window_len), (cfg.hop, 1))
     spec = fft(frames * win, cfg.fft_bins)
     mag = np.abs(spec).astype(x.dtype, copy=False)
 
@@ -322,13 +321,7 @@ def _windows(x: np.ndarray, pad: int, width: int, step: int, dtype) -> np.ndarra
     both ends of its last axis (as dtype); window i starts at i * step."""
     xp = np.zeros(x.shape[:-1] + (x.shape[-1] + 2 * pad,), dtype=dtype)
     xp[..., pad:-pad] = x
-    s = xp.strides
-    count = (xp.shape[-1] - width) // step + 1
-    # made on xp's buffer, not by as_strided, for the reason layers._taps gives
-    windows = np.ndarray(xp.shape[:-1] + (count, width), xp.dtype, xp, 0,
-                         s[:-1] + (step * s[-1], s[-1]))
-    windows.flags.writeable = False
-    return windows
+    return strided_view(xp, ((xp.shape[-1] - width) // step + 1, width), (step, 1))
 
 
 def _decimate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast, grad_enabled, stable_sigmoid
+from .tensor import Tensor, _unbroadcast, grad_enabled, stable_sigmoid, strided_view
 
 
 class InputTooShort(ValueError):
@@ -61,17 +61,6 @@ def conv_transpose1d_length(length: int, kernel: int, stride: int, padding: int,
     return (length - 1) * stride - 2 * padding + dilation * (kernel - 1) + 1
 
 
-def _taps(xp: np.ndarray, kernel: int, stride: int, dilation: int, l_out: int) -> np.ndarray:
-    """[..., C, L] -> [..., C, kernel, l_out] strided view of every tap, made
-    on xp's buffer: as_strided's __array_interface__ round trip interns and
-    drops strings, so every ten thousand or so calls it regrows the
-    interpreter's table of interned strings, about 1 MB, inside a forward."""
-    xp = np.ascontiguousarray(xp)
-    s = xp.strides
-    return np.ndarray(xp.shape[:-1] + (kernel, l_out), xp.dtype, xp, 0,
-                      s[:-1] + (dilation * s[-1], stride * s[-1]))
-
-
 def _pad_last(a: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(pad, pad)]) if pad else a
 
@@ -92,7 +81,7 @@ def _gather(xp: np.ndarray, w: np.ndarray, stride: int, dilation: int, l_out: in
     Given g [..., A, l_out], also returns _weight_grad(g, xp, k, stride,
     dilation), bit for bit, from the same im2col blocks."""
     a, b, k = w.shape
-    patches = _taps(xp, k, stride, dilation, l_out)
+    patches = strided_view(xp, (k, l_out), (dilation, stride))  # [..., B, k, l_out]
     out = np.empty(xp.shape[:-2] + (a, l_out), dtype=np.result_type(w, xp))
     gw = None if g is None else np.zeros((a, b * k), dtype=np.result_type(g, xp))
     for i in np.ndindex(xp.shape[:-2]):
@@ -107,8 +96,9 @@ def _gather(xp: np.ndarray, w: np.ndarray, stride: int, dilation: int, l_out: in
 
 def _scatter(y: np.ndarray, w: np.ndarray, stride: int, dilation: int, length: int):
     """The exact adjoint of _gather, [..., A, l] -> [..., B, length]: adds
-    w[a, b, j] y[a, t] onto out[b, t*stride + j*dilation]. At kernel 8, stride
-    4 and odd dilation every output sums two products, so blocks keep every bit."""
+    w[a, b, j] y[a, t] onto out[b, t*stride + j*dilation]. The model's convs
+    all have kernel 8 and stride 4 (``hdrs.model.KERNEL``, ``STRIDE``) and an
+    odd dilation, so every output sums two products and blocks keep every bit."""
     a, b, k = w.shape
     wt = w.reshape(a, b * k).T
     out = np.zeros(y.shape[:-2] + (b, length), dtype=np.result_type(w, y))
@@ -127,7 +117,7 @@ def _weight_grad(g: np.ndarray, xp: np.ndarray, kernel: int, stride: int, dilati
     """The gradient in w of _gather(xp) and of _scatter(g), for both convs:
     sum over items and t of g[a, t] xp[b, t*stride + j*dilation]."""
     a, b, l = g.shape[-2], xp.shape[-2], g.shape[-1]
-    patches = _taps(xp, kernel, stride, dilation, l)
+    patches = strided_view(xp, (kernel, l), (dilation, stride))
     gw = np.zeros((a, b * kernel), dtype=np.result_type(g, xp))
     for i in np.ndindex(g.shape[:-2]):
         for s, e in _blocks(l, b * kernel * xp.itemsize):

@@ -9,18 +9,21 @@ branches. ``demucs_baseline`` is the single-decoder ancestor network; the
 remaining variants realize the ablation topologies (fixed 0.5 fusion,
 refinement fed from encoder skips, single-decoder cuts).
 
+The geometry is DEMUCS's and fixed: kernel ``KERNEL``, stride ``STRIDE``,
+an ``LSTM_LAYERS``-layer LSTM and a ``FUSION_CH``-channel fusion stack.
+
 Length bookkeeping: the input is right-padded to a multiple of
-stride**depth before upsampling, encoder convolutions use symmetric padding
-(kernel - stride) / 2 so each block divides the length by exactly
-``stride``, and every transposed conv uses padding
-(dilation * (kernel-1) - (stride-1)) / 2 so each decoder block multiplies
-it by exactly ``stride``. Output is trimmed back to the input length.
+STRIDE**depth before upsampling, encoder convolutions use symmetric padding
+``ENC_PADDING`` = (KERNEL - STRIDE) / 2 so each block divides the length by
+exactly ``STRIDE``, and every transposed conv uses padding
+``tconv_padding(dilation)`` = (dilation * (KERNEL-1) - (STRIDE-1)) / 2, an
+integer for odd dilations, so each decoder block multiplies it by exactly
+``STRIDE``. Output is trimmed back to the input length.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -37,6 +40,12 @@ VARIANTS = ("hd_demucs", "demucs_baseline", "no_fusion", "no_fusion_no_skip",
             "suppression_only", "refinement_only")
 
 STD_FLOOR = 1e-5
+# DEMUCS's encoder-decoder geometry, which HD-DEMUCS keeps
+KERNEL = 8
+STRIDE = 4
+LSTM_LAYERS = 2
+FUSION_CH = 16
+ENC_PADDING = (KERNEL - STRIDE) // 2
 
 # A no-grad forward runs its input in windows, each spanning this many bytes
 # at ``frame_width`` float32 values per bottleneck frame: 160 frames, 2.56 s,
@@ -71,11 +80,7 @@ class InvalidLength(ValueError):
 class ModelConfig:
     hidden_ch: int = 48
     depth: int = 5
-    kernel: int = 8
-    stride: int = 4
-    lstm_layers: int = 2
     refinement_dilations: tuple = ()
-    fusion_ch: int = 16
     variant: str = "hd_demucs"
     sample_rate: int = 16000
 
@@ -89,22 +94,17 @@ class ModelConfig:
         self.refinement_dilations = tuple(int(d) for d in self.refinement_dilations)
         if len(self.refinement_dilations) != self.depth:
             raise ValueError("need one refinement dilation per decoder block")
-        if (self.kernel - self.stride) % 2:
-            raise ValueError("kernel - stride must be even for symmetric encoder padding")
-        for d in (1,) + self.refinement_dilations:
-            if (d * (self.kernel - 1) - (self.stride - 1)) % 2:
+        for d in self.refinement_dilations:
+            if d % 2 == 0:
                 raise ValueError(f"dilation {d} breaks the transposed-conv padding rule")
 
     @property
     def channels(self) -> list:
         return [self.hidden_ch * (1 << i) for i in range(self.depth)]
 
-    @property
-    def enc_padding(self) -> int:
-        return (self.kernel - self.stride) // 2
 
-    def tconv_padding(self, dilation: int) -> int:
-        return (dilation * (self.kernel - 1) - (self.stride - 1)) // 2
+def tconv_padding(dilation: int) -> int:
+    return (dilation * (KERNEL - 1) - (STRIDE - 1)) // 2
 
 
 def _branches(cfg: ModelConfig) -> list:
@@ -123,17 +123,16 @@ def param_shapes(cfg: ModelConfig) -> list:
     """Every learnable array as (name, shape, fan_in); single source of truth
     for initialization, counting, and checkpoint layout."""
     ch = cfg.channels
-    k = cfg.kernel
     shapes = []
     c_prev = 1
     for i, c in enumerate(ch):
-        shapes.append((f"enc.{i}.conv.w", (c, c_prev, k), c_prev * k))
+        shapes.append((f"enc.{i}.conv.w", (c, c_prev, KERNEL), c_prev * KERNEL))
         shapes.append((f"enc.{i}.conv.b", (c,), 0))
         shapes.append((f"enc.{i}.mix.w", (2 * c, c, 1), c))
         shapes.append((f"enc.{i}.mix.b", (2 * c,), 0))
         c_prev = c
     hid = ch[-1]
-    for layer in range(cfg.lstm_layers):
+    for layer in range(LSTM_LAYERS):
         shapes.append((f"lstm.{layer}.w_ih", (4 * hid, hid), hid))
         shapes.append((f"lstm.{layer}.w_hh", (4 * hid, hid), hid))
         shapes.append((f"lstm.{layer}.b", (4 * hid,), 0))
@@ -143,10 +142,10 @@ def param_shapes(cfg: ModelConfig) -> list:
         for i, (ci, co) in enumerate(zip(dec_in, dec_out)):
             shapes.append((f"{branch}.{i}.mix.w", (2 * ci, ci, 1), ci))
             shapes.append((f"{branch}.{i}.mix.b", (2 * ci,), 0))
-            shapes.append((f"{branch}.{i}.tconv.w", (ci, co, k), ci * k))
+            shapes.append((f"{branch}.{i}.tconv.w", (ci, co, KERNEL), ci * KERNEL))
             shapes.append((f"{branch}.{i}.tconv.b", (co,), 0))
     if cfg.variant == "hd_demucs":
-        f = cfg.fusion_ch
+        f = FUSION_CH
         for j, (ci, co) in enumerate(((2, f), (f, f), (f, 1))):
             shapes.append((f"fusion.{j}.w", (co, ci, 3), ci * 3))
             shapes.append((f"fusion.{j}.b", (co,), 0))
@@ -190,18 +189,18 @@ def encode(h: Tensor, params: dict, cfg: ModelConfig, carry: tuple | None = None
     bottleneck frames [start, commit), which advances it, then on from a copy
     over [commit, stop); frames outside [start, stop) get no LSTM output.
     """
-    if h.shape[-1] % (cfg.stride ** cfg.depth):
+    if h.shape[-1] % (STRIDE ** cfg.depth):
         raise InvalidLength(
-            f"encoder input length {h.shape[-1]} not a multiple of {cfg.stride ** cfg.depth}")
+            f"encoder input length {h.shape[-1]} not a multiple of {STRIDE ** cfg.depth}")
     skips = []
     for i in range(cfg.depth):
-        h = conv1d(h, _conv(params, f"enc.{i}.conv", cfg.stride, cfg.enc_padding))
+        h = conv1d(h, _conv(params, f"enc.{i}.conv", STRIDE, ENC_PADDING))
         h = T.relu(h)
         h = conv1d(h, _conv(params, f"enc.{i}.mix"))
         h = glu(h)
         skips.append(h)
     lstm = LstmParams([(params[f"lstm.{l}.w_ih"], params[f"lstm.{l}.w_hh"],
-                        params[f"lstm.{l}.b"]) for l in range(cfg.lstm_layers)])
+                        params[f"lstm.{l}.b"]) for l in range(LSTM_LAYERS)])
     seq = T.transpose(h)
     if carry is None:
         return T.transpose(lstm_forward(seq, lstm)) + h, skips
@@ -229,8 +228,7 @@ def suppression_decode(bottleneck: Tensor, skips: list, params: dict, cfg: Model
         h = h + skips.pop()
         pre_inputs.append(h)
         h = glu(conv1d(h, _conv(params, f"{branch}.{i}.mix")))
-        h = conv_transpose1d(h, _conv(params, f"{branch}.{i}.tconv", cfg.stride,
-                                      cfg.tconv_padding(1)))
+        h = conv_transpose1d(h, _conv(params, f"{branch}.{i}.tconv", STRIDE, tconv_padding(1)))
         h = T.relu(h) if i < cfg.depth - 1 else T.sigmoid(h)
     return h, pre_inputs
 
@@ -247,8 +245,8 @@ def refinement_decode(feeds: list, params: dict, cfg: ModelConfig,
         h = feeds.pop(0) if h is None else h + feeds.pop(0)
         h = glu(conv1d(h, _conv(params, f"{branch}.{i}.mix")))
         d = dilations[i]
-        h = conv_transpose1d(h, _conv(params, f"{branch}.{i}.tconv", cfg.stride,
-                                      cfg.tconv_padding(d), d))
+        h = conv_transpose1d(h, _conv(params, f"{branch}.{i}.tconv", STRIDE, tconv_padding(d),
+                                      d))
         if i < cfg.depth - 1:
             h = T.relu(h)
     return h
@@ -270,7 +268,7 @@ def fuse(refined: Tensor, masked: Tensor, params: dict, cfg: ModelConfig):
     (slope 0.01, ``T.leaky_relu``'s max(x, 0.01x)) after the first two and
     a sigmoid after the last. It is one tape node that walks the signal in
     column blocks of ``_FUSION_BLOCK`` samples, each reading 3 samples of
-    halo either side, so its fusion_ch-channel activations exist one block
+    halo either side, so its FUSION_CH-channel activations exist one block
     at a time; a recording tape keeps each block's input and two leaky
     outputs for the backward, which walks the same blocks.
     """
@@ -325,15 +323,15 @@ def fuse(refined: Tensor, masked: Tensor, params: dict, cfg: ModelConfig):
 def frame_width(cfg: ModelConfig) -> int:
     """Values per bottleneck frame that size a no-grad window: the largest
     channels x upsampled samples per frame, over each encoder and decoder
-    block's 2*ch-channel mix output and, for hd_demucs, fusion_ch channels
-    at the 4x rate. ``fuse`` holds its fusion_ch channels one column block
+    block's 2*ch-channel mix output and, for hd_demucs, FUSION_CH channels
+    at the 4x rate. ``fuse`` holds its FUSION_CH channels one column block
     at a time, not a window long, but the term stays so that small models'
     windows (3840 frames at hidden_ch 4, depth 3) keep their length and
     their output bits."""
-    f = cfg.stride ** cfg.depth
-    widths = [2 * c * f // cfg.stride ** (i + 1) for i, c in enumerate(cfg.channels)]
+    f = STRIDE ** cfg.depth
+    widths = [2 * c * f // STRIDE ** (i + 1) for i, c in enumerate(cfg.channels)]
     if cfg.variant == "hd_demucs":
-        widths.append(cfg.fusion_ch * f)
+        widths.append(FUSION_CH * f)
     return max(widths)
 
 
@@ -349,7 +347,7 @@ def halo_frames(cfg: ModelConfig) -> tuple:
     decoders and the fusion stack read for its output, found by walking
     the window's first and last sample back through the widest decoder.
     """
-    s, k, p = cfg.stride, cfg.kernel, cfg.enc_padding
+    s, k, p = STRIDE, KERNEL, ENC_PADDING
     f = s ** cfg.depth
     g = (f - 1) // (s - 1)
     enc = max(-(-p * g // f), (k - 1 - p) * g // f)
@@ -358,7 +356,7 @@ def halo_frames(cfg: ModelConfig) -> tuple:
     first, last = -reach, reach - 1
     for i in reversed(range(cfg.depth)):
         d = max(dil[i] for _, dil in _branches(cfg))
-        pad = cfg.tconv_padding(d)
+        pad = tconv_padding(d)
         first = -((d * (k - 1) - pad - first) // s)
         last = (last + pad) // s
     return enc, max(-first, last + 1)
@@ -406,7 +404,7 @@ def _encoded_windows(x: Tensor, scale: np.ndarray, params: dict, cfg: ModelConfi
     resampler's, and runs the encoder and the carried-state LSTM on it;
     yields (a, b, lo, h, bottleneck, skips), with ``h`` the upsampled slice
     from frame ``lo`` on."""
-    f, r, halo = cfg.stride ** cfg.depth, RESAMPLE_FACTOR, RESAMPLE_HALO
+    f, r, halo = STRIDE ** cfg.depth, RESAMPLE_FACTOR, RESAMPLE_HALO
     n, lead = x.shape[-1], x.shape[:-1]
     enc, dec = halo_frames(cfg)
     state = []
@@ -432,41 +430,24 @@ def _encoded_windows(x: Tensor, scale: np.ndarray, params: dict, cfg: ModelConfi
 
 @contextmanager
 def _pulled_ahead(items):
-    """``items`` pulled one item ahead of the caller by a helper thread: it
-    makes item k+1 while the caller works on item k, and starts item k+2
-    only once the caller has taken k+1, so at most two items are alive. An
-    exception from ``items`` is raised in the caller; once the caller leaves
-    the block, even by an exception, the helper stops after its current item
-    and is joined."""
-    asks, gets = queue.SimpleQueue(), queue.SimpleQueue()
+    """``items`` pulled one item ahead of the caller by a one-worker
+    executor: it makes item k+1 while the caller works on item k, and
+    starts item k+2 only once the caller has taken k+1, so at most two items
+    are alive. An exception from ``items`` is raised in the caller; once the
+    caller leaves the block, even by an exception, the item in flight is
+    finished, the worker joined and ``items`` closed."""
 
-    def serve():
-        try:
-            while asks.get():
-                gets.put((True, next(items)))
-        except BaseException as e:  # StopIteration too: the caller's loop ends on it
-            gets.put((False, e))
-        finally:
-            items.close()
-
-    def pull():
-        asks.put(True)
-        while True:
-            ok, item = gets.get()
-            if not ok:
-                if isinstance(item, StopIteration):
-                    return
-                raise item
-            asks.put(True)
+    def pull(pool):
+        ahead = pool.submit(next, items, None)
+        while (item := ahead.result()) is not None:
+            ahead = pool.submit(next, items, None)
             yield item
 
-    thread = threading.Thread(target=serve, name="hdrs-encode", daemon=True)
-    thread.start()
     try:
-        yield pull()
+        with ThreadPoolExecutor(1, "hdrs-encode") as pool:
+            yield pull(pool)
     finally:
-        asks.put(False)
-        thread.join()
+        items.close()
 
 
 def _windowed_forward(x: Tensor, sigma: Tensor, params: dict, cfg: ModelConfig, w_override,
@@ -479,7 +460,7 @@ def _windowed_forward(x: Tensor, sigma: Tensor, params: dict, cfg: ModelConfig, 
     than one window at an LSTM width of at least ``_PIPELINE_WIDTH`` runs
     the first stage one window ahead on a helper thread, in windows of half
     the budget."""
-    f, r, halo = cfg.stride ** cfg.depth, RESAMPLE_FACTOR, RESAMPLE_HALO
+    f, r, halo = STRIDE ** cfg.depth, RESAMPLE_FACTOR, RESAMPLE_HALO
     n, lead = x.shape[-1], x.shape[:-1]
     total = r * -(-n // f)  # bottleneck frames in the padded, upsampled input
     window = max(1, _WINDOW_BYTES // (4 * frame_width(cfg)))  # in bottleneck frames
@@ -555,7 +536,7 @@ def forward(y, params: dict, cfg: ModelConfig, w_override: float | None = None,
         return _windowed_forward(x, sigma, params, cfg, w_override, on_window)
 
     xn = x / (sigma + STD_FLOOR)
-    pad = (-n) % (cfg.stride ** cfg.depth)
+    pad = (-n) % (STRIDE ** cfg.depth)
     if pad:
         xn = T.pad_axis(xn, -1, 0, pad)
     y_up = upsample_4x(xn)

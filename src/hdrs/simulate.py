@@ -46,6 +46,16 @@ class ManifestError(ValueError):
 
 
 @dataclass
+class SimulateConfig:
+    """The ``[simulate]`` settings of ``hdrs simulate``; a command-line flag
+    overrides its key, and every field but ``seed`` must be set by one."""
+    subset: str | None = None
+    split: str | None = None
+    seed: int = 0
+    count: int | None = None
+
+
+@dataclass
 class Distortion:
     """One utterance's recipe: exactly the fields a manifest row stores. A
     stage whose field is None does not run; the RIR length is ``t60`` seconds

@@ -181,6 +181,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def strided_view(x: np.ndarray, counts: tuple, steps: tuple) -> np.ndarray:
+    """Read-only view [..., *counts] of x's last axis: entry (i, j, ...) is
+    x[..., i * steps[0] + j * steps[1] + ...]. It is made on the buffer of
+    x, copied first only if not contiguous, and not by ``as_strided``, whose
+    __array_interface__ round trip interns and drops strings: every ten
+    thousand or so calls that regrows the interpreter's table of interned
+    strings, about 1 MB, inside whatever forward or loss is running."""
+    x = np.ascontiguousarray(x)
+    s = x.strides
+    view = np.ndarray(x.shape[:-1] + tuple(counts), x.dtype, x, 0,
+                      s[:-1] + tuple(step * s[-1] for step in steps))
+    view.flags.writeable = False
+    return view
+
+
 def _binary(a, b, fwd, bwd_a, bwd_b, op: str) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=b.dtype))
     b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.dtype))

@@ -138,13 +138,13 @@ def save_checkpoint(path, params: dict, state: TrainState,
 
 
 def load_checkpoint(path, moments: bool = True):
-    """Returns (params, state, model_cfg, train_cfg); moments default to
-    zeros for inference-only checkpoints. With ``moments=False`` the Adam
-    moments are not read and ``state.m``/``state.v`` stay empty.
+    """Returns (params, state, model_cfg, train_cfg). With ``moments=False``
+    the Adam moments are not read and ``state.m``/``state.v`` stay empty.
 
     Config text missing a ``state.*``, ``model.*`` or ``train.*`` key,
-    naming an unknown one or holding an invalid value, and a parameter
-    missing or of the wrong shape, raise ``Corrupt``."""
+    naming an unknown one or holding an invalid value, and a parameter or,
+    in a full load, an Adam moment missing or of the wrong shape, raise
+    ``Corrupt``."""
     text, arrays = load_container(path, 2 if moments else 1)
     try:
         model_cfg = config_from_text(ModelConfig, "model", text)
@@ -167,8 +167,11 @@ def load_checkpoint(path, moments: bool = True):
     if moments:
         for name, p in params.items():
             for store, key in ((state.m, f"adam.m.{name}"), (state.v, f"adam.v.{name}")):
+                got = arrays[key].shape if key in arrays else "missing"
+                if got != p.shape:
+                    raise Corrupt(f"{path}: Adam moment {key} is {got}, expected shape {p.shape}")
                 # loaded arrays are writeable views, so they serve without a copy
-                store[name] = arrays[key] if key in arrays else np.zeros(p.shape, p.dtype)
+                store[name] = arrays[key]
     return params, state, model_cfg, train_cfg
 
 

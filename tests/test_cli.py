@@ -81,6 +81,20 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "z"), "--subset", "N",
                      "--split", "train", "--seed", "8", "--count", "0"]) == 3
 
+    def test_unknown_simulate_key_exits_2(self, tmp_path, workspace, capsys):
+        assert main(["simulate", "--clean-dir", str(workspace / "clean"),
+                     "--out-dir", str(tmp_path / "u"), "--subset", "N", "--split", "train",
+                     "--count", "1", "--set", "simulate.foo=1"]) == 2
+        assert "'foo'" in capsys.readouterr().err
+
+    def test_missing_count_exits_2(self, tmp_path, workspace, capsys):
+        """Settings come from flags, the config file or --set; count has no default."""
+        assert main(["simulate", "--clean-dir", str(workspace / "clean"),
+                     "--out-dir", str(tmp_path / "m"), "--subset", "N",
+                     "--set", "simulate.split=train"]) == 2
+        assert "missing simulate settings" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_empty_clean_dir_exits_3(self, tmp_path):
         (tmp_path / "empty").mkdir()
         assert main(["simulate", "--clean-dir", str(tmp_path / "empty"),
@@ -119,13 +133,16 @@ class TestTrain:
                      "--manifest", str(workspace / "corpus" / "manifest.tsv"),
                      "--out", str(tmp_path / "bad")]) == 2
 
-    def test_resample_factor_is_an_unknown_key(self, workspace, tmp_path, capsys):
-        """The resampling factor is fixed by the DSP, not a config key."""
+    @pytest.mark.parametrize("key", ["resample_factor", "kernel", "stride", "lstm_layers",
+                                     "fusion_ch"])
+    def test_fixed_geometry_is_an_unknown_key(self, workspace, tmp_path, capsys, key):
+        """The resampling factor is fixed by the DSP, and the kernel, stride,
+        LSTM depth and fusion width by ``hdrs.model``; none is a config key."""
         assert main(["train", "--config", str(workspace / "run.ini"), "--quiet",
-                     "--set", "model.resample_factor=4",
+                     "--set", f"model.{key}=4",
                      "--manifest", str(workspace / "corpus" / "manifest.tsv"),
                      "--out", str(tmp_path / "bad")]) == 2
-        assert "unknown key 'resample_factor'" in capsys.readouterr().err
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_set_override_wins(self, workspace, tmp_path, capsys):
         cfg = workspace / "run.ini"
@@ -199,7 +216,7 @@ class TestRestore:
         clip = read_wav(workspace / "clean" / "clean00.wav", 16000)
         n = len(clip) - 3
         # the model pads this input, so the trim is exercised
-        assert n % sup_cfg.stride ** sup_cfg.depth
+        assert n % model.STRIDE ** sup_cfg.depth
         src = tmp_path / "odd.wav"
         write_wav(src, AudioBuffer(clip.samples[:n], clip.sample_rate))
         hd_cfg = dataclasses.replace(sup_cfg, variant="hd_demucs")
@@ -307,12 +324,13 @@ class TestRestore:
         if edit == "stray_key":
             text["train.foo"] = "1"
         else:
-            del text["model.fusion_ch"]
+            del text["model.refinement_dilations"]
         bad = tmp_path / "bad.ckpt"
         save_container(bad, text, arrays)
         assert main(["restore", "--ckpt", str(bad), "--in", str(workspace / "clean"),
                      "--out", str(tmp_path / "o")]) == 2
-        assert ("foo" if edit == "stray_key" else "model.fusion_ch") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("foo" if edit == "stray_key" else "model.refinement_dilations") in err
 
     def test_checkpoint_without_state_step_exits_2(self, workspace, tmp_path, capsys):
         from hdrs.checkpoint import Corrupt, load_container, save_container
@@ -345,6 +363,31 @@ class TestRestore:
             want = (tmp_path / "with" / name).read_bytes()
             for tag in ("without", "flipped"):
                 assert (tmp_path / tag / name).read_bytes() == want, tag
+
+
+    @pytest.mark.parametrize("edit", ["no moments", "misshapen moment"])
+    def test_resume_with_bad_moments_exits_2(self, workspace, tmp_path, capsys, edit):
+        """A full load refuses a checkpoint without Adam moments, naming the
+        first one missing, or with one of the wrong shape, so a resume from
+        it never runs on zeroed or broadcast moments;
+        ``test_moments_do_not_change_restored_bytes`` restores from the first."""
+        from hdrs.checkpoint import Corrupt, load_container, save_container
+        from hdrs.train import load_checkpoint
+        text, arrays = load_container(workspace / "run" / "final.ckpt")
+        params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
+        moments = {} if edit == "no moments" else {
+            k: v[:1] if k == "adam.m.enc.0.conv.w" else v for k, v in arrays.items()
+            if k.startswith("adam.")}
+        bad = tmp_path / "bad.ckpt"
+        save_container(bad, text, params, moments)
+        with pytest.raises(Corrupt, match=r"adam\.m\.enc\.0\.conv\.w"):
+            load_checkpoint(bad)
+        out = tmp_path / "resumed"
+        assert main(["train", "--config", str(workspace / "run.ini"), "--quiet",
+                     "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                     "--out", str(out), "--resume", str(bad)]) == 2
+        assert "adam.m.enc.0.conv.w" in capsys.readouterr().err
+        assert not out.exists() or not list(out.glob("*.ckpt"))
 
 
 class TestEvaluate:

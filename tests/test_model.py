@@ -133,7 +133,7 @@ class TestConfigValidation:
 
     def test_dilated_span_grows(self):
         cfg = M.ModelConfig()
-        spans = [d * (cfg.kernel - 1) + 1 for d in cfg.refinement_dilations]
+        spans = [d * (M.KERNEL - 1) + 1 for d in cfg.refinement_dilations]
         assert spans == [8, 22, 36, 50, 64]
 
     def test_round_trip_text_dict(self):
@@ -144,9 +144,8 @@ class TestConfigValidation:
     def test_default_text_is_pinned(self):
         """The checkpoint text of the default config, key order included."""
         assert list(config_text(M.ModelConfig(), "model").items()) == [
-            ("model.hidden_ch", "48"), ("model.depth", "5"), ("model.kernel", "8"),
-            ("model.stride", "4"), ("model.lstm_layers", "2"), ("model.refinement_dilations", "1,3,5,7,9"),
-            ("model.fusion_ch", "16"), ("model.variant", "hd_demucs"),
+            ("model.hidden_ch", "48"), ("model.depth", "5"),
+            ("model.refinement_dilations", "1,3,5,7,9"), ("model.variant", "hd_demucs"),
             ("model.sample_rate", "16000")]
 
     def test_text_reader_parses_annotations(self):
@@ -514,6 +513,21 @@ class TestTrainingMemory:
             tracemalloc.stop()
         assert peak <= self.PEAK_OVER_TAPE * tape
 
+    def test_no_view_made_by_as_strided(self, monkeypatch):
+        """A drill-config forward, loss and backward, and a no-grad forward,
+        build every strided view by ``tensor.strided_view``, none by numpy's
+        ``as_strided``, whose __array_interface__ round trip regrows the
+        interpreter's table of interned strings every ten thousand or so
+        calls. ``sliding_window_view`` calls it too."""
+        def refuse(*a, **kw):
+            raise AssertionError("as_strided called")
+
+        monkeypatch.setitem(np.lib.stride_tricks.as_strided.__globals__, "as_strided", refuse)
+        params, _, root = self.drill_loss()
+        backward(root)
+        with T.no_grad():
+            M.forward(np.random.default_rng(52).standard_normal((2, 4000)), params, tiny_cfg())
+
     # Traced backward peak of one stride-4 conv over its input's bytes. The
     # input gradient is 1x; the transposed conv also pads a copy of its
     # output gradient, 2x here. Beyond those the backward holds one
@@ -623,26 +637,30 @@ class TestWindowedForward:
             assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("case", ["clean", "on_window raises", "on_window interrupted",
-                                      "encode raises"])
+                                      "encode raises", "encode raises on the first window"])
     def test_no_thread_outlives_forward(self, monkeypatch, case):
-        """A pipelined forward's helper is joined before ``forward`` returns
-        or raises: after a clean run, an exception or a KeyboardInterrupt
-        from ``on_window`` on the second window, and an exception from
-        ``encode`` on the third. The caller sees the original exception, and
-        the helper stops after the window it is on: the third."""
+        """A pipelined forward's helper, a thread named ``hdrs-encode...``,
+        is joined before ``forward`` returns or raises: after a clean run,
+        an exception or a KeyboardInterrupt from ``on_window`` on the second
+        window, and an exception from ``encode`` on the third or the first.
+        The caller sees the original exception, and the helper stops after
+        the window it is on: the third, or the first."""
         cfg = tiny_cfg()
         params = M.init_params(cfg, 47)
         set_windows(monkeypatch, cfg, self.WINDOW, "pipelined")
         before = set(threading.enumerate())
-        seen = []
+        seen, names = [], set()
         err = {"on_window raises": ValueError("on_window"),
                "on_window interrupted": KeyboardInterrupt(),
-               "encode raises": ValueError("encode")}.get(case)
+               "encode raises": ValueError("encode"),
+               "encode raises on the first window": ValueError("encode")}.get(case)
+        fails_at = {"encode raises": 3, "encode raises on the first window": 1}.get(case)
         encode = M.encode
 
         def counted(*a):
             seen.append(set(threading.enumerate()) - before)
-            if case == "encode raises" and len(seen) == 3:
+            names.add(threading.current_thread().name)
+            if len(seen) == fails_at:
                 raise err
             return encode(*a)
 
@@ -659,8 +677,9 @@ class TestWindowedForward:
                 with pytest.raises(type(err)) as info:
                     M.forward(y, params, cfg, on_window=on_window)
                 assert info.value is err
-        assert len(seen) == (6 if err is None else 3)
+        assert len(seen) == (6 if err is None else fails_at or 3)
         assert all(seen)  # each encode ran on the helper
+        assert len(names) == 1 and names.pop().startswith("hdrs-encode")
         assert set(threading.enumerate()) == before
 
     def test_recording_forward_runs_in_one_pass(self, monkeypatch):
