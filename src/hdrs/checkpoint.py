@@ -60,18 +60,13 @@ class Corrupt(ValueError):
 
 def config_text(cfg, section: str) -> dict:
     """``section.field`` -> value text for every field of the dataclass
-    ``cfg``, in field order; tuples are joined with commas."""
-    out = {}
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        out[f"{section}.{f.name}"] = ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
-    return out
+    ``cfg``, in field order."""
+    return {f"{section}.{f.name}": str(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
 
 
 # Field annotations are strings (postponed evaluation); the leading word picks
 # the parser, and any other annotation keeps the raw text.
-_PARSERS = {"tuple": lambda raw: tuple(int(v) for v in raw.replace(" ", "").split(",")),
-            "int": int, "float": float}
+_PARSERS = {"int": int, "float": float}
 
 
 def config_from_text(cls, section: str, text: dict):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import AudioBuffer, EmptyInput, SampleRateMismatch, read_wav, write_wav
+from .audio import CANONICAL_RATE, AudioBuffer, EmptyInput, SampleRateMismatch, read_wav, write_wav
 from .checkpoint import config_from_text, config_text
 from .dsp import RESAMPLE_FACTOR, StftConfig, stft_magnitude
 from .metrics import evaluate, write_report
@@ -102,7 +102,7 @@ def cmd_simulate(args) -> int:
         raise FileNotFoundError(f"clean dir not found: {clean_dir}")
     manifest, records = generate_corpus(
         sorted(clean_dir.glob("*.wav")), args.out_dir, sim.subset, sim.split, sim.seed,
-        sim.count, sr=run.model.sample_rate)
+        sim.count)
     print(f"wrote {len(records)} distorted files; manifest: {manifest}")
     return 0
 
@@ -168,7 +168,7 @@ def cmd_restore(args) -> int:
     # read frees the float64 samples before the forward instead of after it
     dtype = next(iter(params.values())).dtype
     for f in files:
-        buf = read_wav(f, model_cfg.sample_rate)
+        buf = read_wav(f, CANONICAL_RATE)
         buf.samples = buf.samples.astype(dtype)
         if args.dump_trace:
             x_hat = _dump_trace(out_dir, f.stem, buf, params, model_cfg)

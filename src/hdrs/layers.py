@@ -98,7 +98,8 @@ def _scatter(y: np.ndarray, w: np.ndarray, stride: int, dilation: int, length: i
     """The exact adjoint of _gather, [..., A, l] -> [..., B, length]: adds
     w[a, b, j] y[a, t] onto out[b, t*stride + j*dilation]. The model's convs
     all have kernel 8 and stride 4 (``hdrs.model.KERNEL``, ``STRIDE``) and an
-    odd dilation, so every output sums two products and blocks keep every bit."""
+    odd dilation (one of ``hdrs.model.REFINEMENT_DILATIONS``, or 1), so every
+    output sums two products and blocks keep every bit."""
     a, b, k = w.shape
     wt = w.reshape(a, b * k).T
     out = np.zeros(y.shape[:-2] + (b, length), dtype=np.result_type(w, y))

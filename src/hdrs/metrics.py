@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import SampleRateMismatch
+from .audio import CANONICAL_RATE, SampleRateMismatch
 from .dsp import stft_magnitude
 from .loss import STFT_RESOLUTIONS, LengthMismatch, loss_freq
 from .model import ModelConfig, forward
@@ -115,16 +115,16 @@ def evaluate(manifest_path, params: dict, cfg: ModelConfig,
              subset: str | None = None) -> EvalReport:
     """Score every (clean, distorted) pair: the unprocessed input and the
     restored output against the clean reference. A manifest whose rate is
-    not the model's, or a WAV whose rate is not the manifest's, raises
+    not ``CANONICAL_RATE``, or a WAV whose rate is not the manifest's, raises
     ``SampleRateMismatch``; a pair of unequal lengths ``LengthMismatch``."""
     sr, records = read_manifest(manifest_path)
     if subset is not None:
         records = [r for r in records if r.subset == subset]
     if not records:
         raise ValueError(f"manifest has no records for subset {subset!r}")
-    if sr != cfg.sample_rate:
+    if sr != CANONICAL_RATE:
         raise SampleRateMismatch(
-            f"{manifest_path}: manifest rate {sr} != model rate {cfg.sample_rate}")
+            f"{manifest_path}: manifest rate {sr} != model rate {CANONICAL_RATE}")
     rows = []
     for r in records:
         clean, dist = read_pair(r, sr)

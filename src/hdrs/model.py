@@ -10,7 +10,8 @@ remaining variants realize the ablation topologies (fixed 0.5 fusion,
 refinement fed from encoder skips, single-decoder cuts).
 
 The geometry is DEMUCS's and fixed: kernel ``KERNEL``, stride ``STRIDE``,
-an ``LSTM_LAYERS``-layer LSTM and a ``FUSION_CH``-channel fusion stack.
+an ``LSTM_LAYERS``-layer LSTM, a ``FUSION_CH``-channel fusion stack and the
+refinement dilations ``REFINEMENT_DILATIONS``.
 
 Length bookkeeping: the input is right-padded to a multiple of
 STRIDE**depth before upsampling, encoder convolutions use symmetric padding
@@ -46,6 +47,8 @@ STRIDE = 4
 LSTM_LAYERS = 2
 FUSION_CH = 16
 ENC_PADDING = (KERNEL - STRIDE) // 2
+# HD-DEMUCS's refinement decoder; odd, so every tconv_padding is exact
+REFINEMENT_DILATIONS = (1, 3, 5, 7, 9)
 
 # A no-grad forward runs its input in windows, each spanning this many bytes
 # at ``frame_width`` float32 values per bottleneck frame: 160 frames, 2.56 s,
@@ -80,23 +83,15 @@ class InvalidLength(ValueError):
 class ModelConfig:
     hidden_ch: int = 48
     depth: int = 5
-    refinement_dilations: tuple = ()
     variant: str = "hd_demucs"
-    sample_rate: int = 16000
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if not self.refinement_dilations:
-            if self.depth > 5:
-                raise ValueError("provide refinement_dilations explicitly for depth > 5")
-            self.refinement_dilations = (1, 3, 5, 7, 9)[:self.depth]
-        self.refinement_dilations = tuple(int(d) for d in self.refinement_dilations)
-        if len(self.refinement_dilations) != self.depth:
-            raise ValueError("need one refinement dilation per decoder block")
-        for d in self.refinement_dilations:
-            if d % 2 == 0:
-                raise ValueError(f"dilation {d} breaks the transposed-conv padding rule")
+        if self.hidden_ch < 1:
+            raise ValueError(f"hidden_ch {self.hidden_ch} must be at least 1")
+        if not 1 <= self.depth <= len(REFINEMENT_DILATIONS):
+            raise ValueError(f"depth {self.depth} outside [1, {len(REFINEMENT_DILATIONS)}]")
 
     @property
     def channels(self) -> list:
@@ -115,7 +110,7 @@ def _branches(cfg: ModelConfig) -> list:
     if v in ("hd_demucs", "no_fusion", "no_fusion_no_skip", "suppression_only"):
         out.append(("ds", (1,) * cfg.depth))
     if v in ("hd_demucs", "no_fusion", "no_fusion_no_skip", "refinement_only"):
-        out.append(("dr", cfg.refinement_dilations))
+        out.append(("dr", REFINEMENT_DILATIONS[:cfg.depth]))
     return out
 
 
@@ -239,7 +234,7 @@ def refinement_decode(feeds: list, params: dict, cfg: ModelConfig,
     to the running signal before block i; feeds[0] already carries the
     bottleneck. Pops ``feeds`` from the front as it reads them, so outside a
     recording tape each feed is freed once its block has used it."""
-    dilations = cfg.refinement_dilations if dilations is None else dilations
+    dilations = REFINEMENT_DILATIONS if dilations is None else dilations
     h = None
     for i in range(cfg.depth):
         h = feeds.pop(0) if h is None else h + feeds.pop(0)

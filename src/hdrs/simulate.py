@@ -283,7 +283,7 @@ def derive_record_seed(corpus_seed: int, index: int) -> int:
 
 
 def generate_corpus(clean_paths: list, out_dir, subset: str, split: str,
-                    seed: int, count: int, sr: int = CANONICAL_RATE):
+                    seed: int, count: int):
     """Distort ``count`` utterances (cycling through the clean list) and
     write WAVs plus a manifest; fully determined by ``seed``. A count below
     one or an empty clean list raises ``EmptyInput``."""
@@ -297,10 +297,10 @@ def generate_corpus(clean_paths: list, out_dir, subset: str, split: str,
     records = []
     for i in range(count):
         clean_path = clean_paths[i % len(clean_paths)]
-        clean = read_wav(clean_path, sr)
+        clean = read_wav(clean_path, CANONICAL_RATE)
         rseed = derive_record_seed(seed, i)
         spec = sample_spec(subset, split, rseed)
-        noise = record_noise(spec, len(clean), sr)
+        noise = record_noise(spec, len(clean), CANONICAL_RATE)
         distorted, gain = apply_distortion(clean, spec, noise)
         name = f"{Path(clean_path).stem}_{subset}_{i:05d}.wav"
         dist_path = out_dir / name
@@ -308,5 +308,5 @@ def generate_corpus(clean_paths: list, out_dir, subset: str, split: str,
         records.append(ManifestRecord(**vars(spec), clean_path=clean_path,
                                       distorted_path=str(dist_path), norm_gain=gain))
     manifest_path = out_dir / "manifest.tsv"
-    write_manifest(manifest_path, records, sr)
+    write_manifest(manifest_path, records)
     return manifest_path, records

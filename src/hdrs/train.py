@@ -22,13 +22,18 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import SampleRateMismatch
+from .audio import CANONICAL_RATE, SampleRateMismatch
 from .checkpoint import Corrupt, config_from_text, config_text, load_container, \
     save_container
 from .loss import loss_total
 from .model import ModelConfig, forward, init_params, param_shapes
 from .simulate import read_manifest, read_pair
 from .tensor import Tensor
+
+# Adam's settings in the HD-DEMUCS recipe
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class NonFiniteGradient(ArithmeticError):
@@ -52,23 +57,22 @@ class TrainConfig:
     total_steps: int = 2000
     warm_phase_steps: int | None = None  # default: half of total
     lr: float = 0.0003
-    lr_min: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 4
     segment_samples: int = 32000
     seed: int = 0
     checkpoint_interval: int = 0  # 0: only the final checkpoint
-    grad_clip: float = 0.0  # 0: off
 
     def __post_init__(self):
         if self.warm_phase_steps is None:
             self.warm_phase_steps = self.total_steps // 2
         if not (0 <= self.warm_phase_steps < self.total_steps):
             raise ValueError("need 0 <= warm_phase_steps < total_steps")
-        if min(self.total_steps, self.lr, self.batch_size, self.segment_samples) <= 0:
-            raise ValueError("total_steps, lr, batch_size, segment_samples must be positive")
+        if min(self.total_steps, self.batch_size, self.segment_samples) <= 0:
+            raise ValueError("total_steps, batch_size, segment_samples must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr {self.lr} must be positive and finite")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must not be negative")
 
 
 @dataclass
@@ -83,45 +87,31 @@ class TrainState:
 def cosine_lr(step: int, cfg: TrainConfig) -> float:
     if not 0 <= step <= cfg.total_steps:
         raise StepOutOfRange(f"step {step} outside [0, {cfg.total_steps}]")
-    return cfg.lr_min + 0.5 * (cfg.lr - cfg.lr_min) * (
-        1.0 + math.cos(math.pi * step / cfg.total_steps))
+    return 0.5 * cfg.lr * (1.0 + math.cos(math.pi * step / cfg.total_steps))
 
 
-def adam_step(params: dict, state: TrainState, cfg: TrainConfig, lr_t: float) -> None:
+def adam_step(params: dict, state: TrainState, lr_t: float) -> None:
     """One bias-corrected Adam update over every parameter.
 
     Parameters outside the current loss path carry zero gradients, which
     leaves their moments and values exactly unchanged.
     """
     t = state.step + 1
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"non-finite gradient in {name} at step {t}")
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.data = p.data - lr_t * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data = p.data - lr_t * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p.grad = None
     state.step = t
-
-
-def clip_gradients(params: dict, max_norm: float) -> None:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
-    if norm > max_norm > 0:
-        scale = np.float32(max_norm / norm)
-        for p in params.values():
-            if p.grad is not None:
-                p.grad = p.grad * scale
 
 
 # -- checkpointing -----------------------------------------------------------------
@@ -181,13 +171,13 @@ def load_checkpoint(path, moments: bool = True):
 class _Corpus:
     """In-memory (clean, distorted) pairs as float32 arrays."""
 
-    def __init__(self, manifest_path, expected_sr: int):
+    def __init__(self, manifest_path):
         sr, records = read_manifest(manifest_path)
         if not records:
             raise ManifestEmpty(f"{manifest_path} lists no records")
-        if sr != expected_sr:
+        if sr != CANONICAL_RATE:
             raise SampleRateMismatch(
-                f"{manifest_path}: manifest rate {sr} != model rate {expected_sr}")
+                f"{manifest_path}: manifest rate {sr} != model rate {CANONICAL_RATE}")
         self.pairs = []
         for r in records:
             clean, dist = read_pair(r, sr)
@@ -264,7 +254,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, manifest_path,
     Writes ``metrics.log`` (tab-separated: step, phase, lr, l_time, l_freq,
     total) and periodic plus final checkpoints under ``out_dir``.
     """
-    corpus = _Corpus(manifest_path, model_cfg.sample_rate)
+    corpus = _Corpus(manifest_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -290,10 +280,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, manifest_path,
             w_override = 0.5 if (warm and model_cfg.variant == "hd_demucs") else None
 
             losses = _backward_step(corpus, step, params, model_cfg, train_cfg, w_override)
-            if train_cfg.grad_clip > 0:
-                clip_gradients(params, train_cfg.grad_clip)
             lr_t = cosine_lr(step, train_cfg)
-            adam_step(params, state, train_cfg, lr_t)
+            adam_step(params, state, lr_t)
 
             row = (state.step, state.phase, lr_t) + losses
             rows.append(row)

@@ -117,6 +117,12 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "config: model.hidden_ch = 2" in out
         assert "config: train.total_steps = 2" in out
+        # every key, each section's sorted: a new knob shows up here
+        assert re.findall(r"^config: (\S+) = ", out, re.M) == [
+            "model.depth", "model.hidden_ch", "model.variant",
+            "train.batch_size", "train.checkpoint_interval", "train.lr", "train.seed",
+            "train.segment_samples", "train.total_steps", "train.warm_phase_steps",
+            "simulate.count", "simulate.seed", "simulate.split", "simulate.subset"]
 
     @pytest.mark.parametrize("variant", ["demucs_baseline", "no_fusion_no_skip"])
     def test_ablation_variants_train(self, workspace, tmp_path, variant):
@@ -134,15 +140,42 @@ class TestTrain:
                      "--out", str(tmp_path / "bad")]) == 2
 
     @pytest.mark.parametrize("key", ["resample_factor", "kernel", "stride", "lstm_layers",
-                                     "fusion_ch"])
+                                     "fusion_ch", "refinement_dilations", "sample_rate"])
     def test_fixed_geometry_is_an_unknown_key(self, workspace, tmp_path, capsys, key):
-        """The resampling factor is fixed by the DSP, and the kernel, stride,
-        LSTM depth and fusion width by ``hdrs.model``; none is a config key."""
+        """The resampling factor and sample rate are fixed by the DSP and
+        audio layers, and the kernel, stride, LSTM depth, fusion width and
+        refinement dilations by ``hdrs.model``; none is a config key."""
         assert main(["train", "--config", str(workspace / "run.ini"), "--quiet",
                      "--set", f"model.{key}=4",
                      "--manifest", str(workspace / "corpus" / "manifest.tsv"),
                      "--out", str(tmp_path / "bad")]) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["lr_min", "beta1", "beta2", "eps", "grad_clip"])
+    def test_fixed_recipe_key_in_checkpoint_exits_2(self, workspace, tmp_path, capsys, key):
+        """Adam's settings and the schedule's floor are constants of
+        ``hdrs.train``, and there is no gradient clipping: a checkpoint
+        written while they were ``train.*`` keys is refused naming the key."""
+        from hdrs.checkpoint import load_container, save_container
+        text, arrays = load_container(workspace / "run" / "final.ckpt", 2)
+        old = tmp_path / "old.ckpt"
+        moments = {k: arrays.pop(k) for k in list(arrays) if k.startswith("adam.")}
+        save_container(old, {**text, f"train.{key}": "0.5"}, arrays, moments)
+        assert main(["train", "--config", str(workspace / "run.ini"), "--quiet",
+                     "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                     "--out", str(tmp_path / "res"), "--resume", str(old)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["model.depth=0", "model.hidden_ch=0",
+                                      "train.checkpoint_interval=-1", "train.lr=nan"])
+    def test_invalid_value_exits_2(self, workspace, tmp_path, capsys, spec):
+        """A config value outside its range is a configuration error, raised
+        before any work, naming the field."""
+        assert main(["train", "--config", str(workspace / "run.ini"), "--quiet",
+                     "--set", spec, "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                     "--out", str(tmp_path / "bad")]) == 2
+        assert spec.split(".")[1].split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_set_override_wins(self, workspace, tmp_path, capsys):
         cfg = workspace / "run.ini"
@@ -324,13 +357,13 @@ class TestRestore:
         if edit == "stray_key":
             text["train.foo"] = "1"
         else:
-            del text["model.refinement_dilations"]
+            del text["model.depth"]
         bad = tmp_path / "bad.ckpt"
         save_container(bad, text, arrays)
         assert main(["restore", "--ckpt", str(bad), "--in", str(workspace / "clean"),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert ("foo" if edit == "stray_key" else "model.refinement_dilations") in err
+        assert ("foo" if edit == "stray_key" else "model.depth") in err
 
     def test_checkpoint_without_state_step_exits_2(self, workspace, tmp_path, capsys):
         from hdrs.checkpoint import Corrupt, load_container, save_container

@@ -19,8 +19,8 @@ from hdrs.tensor import Tensor, backward
 from oracles import finite_difference_grad, rel_grad_error
 
 
-def tiny_cfg(variant="hd_demucs", hidden=4, depth=3, sr=16000):
-    return M.ModelConfig(hidden_ch=hidden, depth=depth, variant=variant, sample_rate=sr)
+def tiny_cfg(variant="hd_demucs", hidden=4, depth=3):
+    return M.ModelConfig(hidden_ch=hidden, depth=depth, variant=variant)
 
 
 SIGNALS = ("y_up", "x_hat_up", "mask", "refined", "w")
@@ -120,20 +120,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             M.ModelConfig(variant="bogus")
 
-    def test_dilation_count_checked(self):
-        with pytest.raises(ValueError):
-            M.ModelConfig(depth=3, refinement_dilations=(1, 3))
-
-    def test_even_dilations_rejected_by_padding_rule(self):
-        with pytest.raises(ValueError):
-            M.ModelConfig(depth=2, refinement_dilations=(1, 2))
-
-    def test_default_dilations_trimmed_to_depth(self):
-        assert M.ModelConfig(depth=3).refinement_dilations == (1, 3, 5)
+    @pytest.mark.parametrize("field, value", [("depth", 0), ("depth", 6), ("hidden_ch", 0)])
+    def test_size_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            M.ModelConfig(**{field: value})
 
     def test_dilated_span_grows(self):
-        cfg = M.ModelConfig()
-        spans = [d * (M.KERNEL - 1) + 1 for d in cfg.refinement_dilations]
+        spans = [d * (M.KERNEL - 1) + 1 for d in M.REFINEMENT_DILATIONS]
         assert spans == [8, 22, 36, 50, 64]
 
     def test_round_trip_text_dict(self):
@@ -144,16 +137,12 @@ class TestConfigValidation:
     def test_default_text_is_pinned(self):
         """The checkpoint text of the default config, key order included."""
         assert list(config_text(M.ModelConfig(), "model").items()) == [
-            ("model.hidden_ch", "48"), ("model.depth", "5"),
-            ("model.refinement_dilations", "1,3,5,7,9"), ("model.variant", "hd_demucs"),
-            ("model.sample_rate", "16000")]
+            ("model.hidden_ch", "48"), ("model.depth", "5"), ("model.variant", "hd_demucs")]
 
     def test_text_reader_parses_annotations(self):
-        text = {"model.refinement_dilations": "1, 3,5", "model.depth": "3",
-                "model.variant": "no_fusion", "train.lr": "0.5"}
+        text = {"model.depth": "3", "model.variant": "no_fusion", "train.lr": "0.5"}
         cfg = config_from_text(M.ModelConfig, "model", text)
-        assert cfg == M.ModelConfig(depth=3, refinement_dilations=(1, 3, 5),
-                                    variant="no_fusion")
+        assert cfg == M.ModelConfig(depth=3, variant="no_fusion")
         with pytest.raises(ValueError, match="unknown key 'bogus'"):
             config_from_text(M.ModelConfig, "model", {"model.bogus": "1"})
 
